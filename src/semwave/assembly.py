@@ -2,9 +2,11 @@
 
 The mass matrix is diagonal because quadrature nodes coincide with the
 nodal basis points.  The stiffness and convective operators are applied
-matrix-free from per-node geometric factors; an explicit sparse form is
-never built.  Impedance boundary damping is a diagonal built from the
-2D GLL face rule collocated with the volume DOFs.
+matrix-free and sum-factorised (Deville, Fischer & Mund 2002, section 4):
+matmuls with the 1D differentiation matrix on each (p, p, p) element
+block, then the stiffness metric through its 6 symmetric components.
+Impedance boundary damping is a diagonal built from the 2D GLL face rule
+collocated with the volume DOFs.
 """
 from __future__ import annotations
 
@@ -13,21 +15,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gll import diff_matrix
-from .mesh import FACE_TANGENTS
-from .space import SpectralField, SpectralSpace, basis_at, face_local_nodes
+from .mesh import FACE_TANGENTS, shape_gradients
+from .space import SpectralSpace, basis_at, face_local_nodes
 
 
 def element_geometry(space: SpectralSpace) -> dict:
     """Per-element, per-GLL-node geometric factors, cached on the space.
 
-    Keys: ``jac`` (ne,nloc,3,3) with J[x,d] = dx/dref_d, ``det``, ``inv``
-    (J^-1), ``wdet`` (3D GLL weight times |det J|) and ``gmat``
-    (wdet * J^-1 J^-T, the stiffness metric).
+    Keys: ``jac`` (ne,nloc,3,3) with J[x,d] = dx/dref_d, ``inv``
+    (J^-1), ``wdet`` (3D GLL weight times |det J|), ``g6`` (6,ne,nloc),
+    the xx, yy, zz, xy, xz, yz components of the symmetric stiffness
+    metric wdet * J^-1 J^-T, and ``dmat``, the 1D differentiation matrix.
+    ``surface`` is added by the first surface_quadrature call.
     """
     if "wdet" in space._geom:
         return space._geom
-    from .mesh import shape_gradients
-
     ref = space.local_nodes_ref()
     dshape = shape_gradients(ref)  # (nloc, 8, 3)
     corners = space.mesh.corner_coords()  # (ne, 8, 3)
@@ -37,8 +39,9 @@ def element_geometry(space: SpectralSpace) -> dict:
         raise ValueError("non-positive Jacobian at a quadrature node")
     inv = np.linalg.inv(jac)  # (ne, nloc, 3, 3), inv[d, x]
     wdet = space.tensor_weights()[None, :] * det
-    gmat = wdet[..., None, None] * np.einsum("eqdx,eqcx->eqdc", inv, inv)
-    space._geom.update(jac=jac, det=det, inv=inv, wdet=wdet, gmat=gmat)
+    sym = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+    g6 = np.stack([wdet * np.einsum("eqx,eqx->eq", inv[:, :, a], inv[:, :, b]) for a, b in sym])
+    space._geom.update(jac=jac, inv=inv, wdet=wdet, g6=g6, dmat=diff_matrix(space.rule))
     return space._geom
 
 
@@ -51,37 +54,35 @@ def assemble_mass(space: SpectralSpace) -> np.ndarray:
     return _scatter(space, element_geometry(space)["wdet"])
 
 
-def _ref_gradients(u4: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # u4 indexed [e, k, j, i] (zeta, eta, xi)
-    gx = np.einsum("im,ekjm->ekji", d, u4)
-    gy = np.einsum("jm,ekmi->ekji", d, u4)
-    gz = np.einsum("km,emji->ekji", d, u4)
-    return gx, gy, gz
+def _grad_ref(u4: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d/dxi, d/deta, d/dzeta) of element blocks u4[e, zeta, eta, xi], each (ne, nloc)."""
+    ne, p = u4.shape[0], d.shape[0]
+    gx = u4.reshape(-1, p) @ np.ascontiguousarray(d.T)  # contiguous: BLAS, not a strided loop
+    gy = d @ u4
+    gz = d @ u4.reshape(ne, p, p * p)
+    return gx.reshape(ne, -1), gy.reshape(ne, -1), gz.reshape(ne, -1)
 
 
-def _ref_gradients_t(q: np.ndarray, d: np.ndarray, axis: int) -> np.ndarray:
-    # transpose of the reference derivative along one axis
-    if axis == 0:
-        return np.einsum("mi,ekjm->ekji", d, q)
-    if axis == 1:
-        return np.einsum("mj,ekmi->ekji", d, q)
-    return np.einsum("mk,emji->ekji", d, q)
+def _grad_ref_t(qx: np.ndarray, qy: np.ndarray, qz: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Transpose of _grad_ref: sum over the axes of D_axis^T q_axis, shaped (ne, nloc)."""
+    ne, p = qx.shape[0], d.shape[0]
+    dt = np.ascontiguousarray(d.T)
+    out = qx.reshape(-1, p) @ d
+    out += (dt @ qy.reshape(ne * p, p, p)).reshape(-1, p)
+    out += (dt @ qz.reshape(ne, p, p * p)).reshape(-1, p)
+    return out.reshape(ne, -1)
 
 
 def apply_stiffness(space: SpectralSpace, u: np.ndarray) -> np.ndarray:
     """Matrix-free K u, K_ij = (grad phi_j, grad phi_i)^NI."""
     geom = element_geometry(space)
-    d = diff_matrix(space.rule)
+    d, g = geom["dmat"], geom["g6"]
     p = space.degree + 1
-    ne = space.mesh.num_elements
-    u4 = u[space.emap].reshape(ne, p, p, p)
-    gx, gy, gz = _ref_gradients(u4, d)
-    g = np.stack([x.reshape(ne, -1) for x in (gx, gy, gz)], axis=-1)  # (ne,nloc,3)
-    q = np.einsum("eqdc,eqc->eqd", geom["gmat"], g)
-    out = np.zeros((ne, p, p, p))
-    for axis in range(3):
-        out += _ref_gradients_t(q[:, :, axis].reshape(ne, p, p, p), d, axis)
-    return _scatter(space, out)
+    gx, gy, gz = _grad_ref(u[space.emap].reshape(-1, p, p, p), d)
+    qx = g[0] * gx + g[3] * gy + g[4] * gz
+    qy = g[3] * gx + g[1] * gy + g[5] * gz
+    qz = g[4] * gx + g[5] * gy + g[2] * gz
+    return _scatter(space, _grad_ref_t(qx, qy, qz, d))
 
 
 @dataclass
@@ -93,16 +94,10 @@ class ConvectiveOperators:
     def apply(self, ell: int, q: np.ndarray) -> np.ndarray:
         space = self.space
         geom = element_geometry(space)
-        d = diff_matrix(space.rule)
-        p = space.degree + 1
-        ne = space.mesh.num_elements
         s = geom["wdet"] * q[space.emap]  # (ne, nloc)
-        out = np.zeros((ne, p, p, p))
-        for axis in range(3):
-            # [grad phi_i]_l = sum_d J^-T[l,d] Dhat_d phi_i;  J^-T[l,d] = inv[d,l]
-            r = (geom["inv"][:, :, axis, ell] * s).reshape(ne, p, p, p)
-            out += _ref_gradients_t(r, d, axis)
-        return _scatter(space, out)
+        # [grad phi_i]_l = sum_d J^-T[l,d] Dhat_d phi_i;  J^-T[l,d] = inv[d,l]
+        jt = geom["inv"][..., ell]
+        return _scatter(space, _grad_ref_t(jt[..., 0] * s, jt[..., 1] * s, jt[..., 2] * s, geom["dmat"]))
 
 
 def assemble_convective(space: SpectralSpace) -> ConvectiveOperators:
@@ -110,35 +105,47 @@ def assemble_convective(space: SpectralSpace) -> ConvectiveOperators:
     return ConvectiveOperators(space)
 
 
+def _tag_set(space: SpectralSpace, tags) -> set[str]:
+    tags = {tags} if isinstance(tags, str) else set(tags)
+    missing = tags - space.mesh.tags
+    if missing:
+        raise ValueError(f"unknown boundary tag(s) {sorted(missing)}; mesh has {sorted(space.mesh.tags)}")
+    return tags
+
+
+def _surface_rules(space: SpectralSpace) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """tag -> read-only collocated surface rule (DOFs, weights), faces in
+    ``mesh.boundary`` order; built for every tag at once, cached on the space."""
+    geom = element_geometry(space)
+    if "surface" not in geom:
+        w1 = space.rule.weights
+        w2 = np.outer(w1, w1).ravel()  # face ordering: first in-face axis fastest
+        elem, face, tag = (np.array(c) for c in zip(*space.mesh.boundary))
+        dofs = np.empty((elem.size, w2.size), dtype=int)
+        weights = np.empty((elem.size, w2.size))
+        for f, (ax0, ax1) in enumerate(FACE_TANGENTS):
+            on_f, local = face == f, face_local_nodes(space.degree, f)
+            jac = geom["jac"][elem[on_f, None], local]  # (faces, p*p, 3, 3)
+            dofs[on_f] = space.emap[elem[on_f, None], local]
+            weights[on_f] = w2 * np.linalg.norm(np.cross(jac[..., ax0], jac[..., ax1]), axis=-1)
+        geom["surface"] = {t: (dofs[tag == t].ravel(), weights[tag == t].ravel()) for t in space.mesh.tags}
+        for arrays in geom["surface"].values():
+            for a in arrays:
+                a.flags.writeable = False
+    return geom["surface"]
+
+
 def surface_quadrature(space: SpectralSpace, tags) -> tuple[np.ndarray, np.ndarray]:
     """Collocated surface rule on all boundary faces carrying one of tags.
 
     Returns (global DOF indices, weights) with weight = 2D GLL weight times
     the face surface Jacobian; repeated DOFs appear once per touching face.
+    The rule of each tag is cached on the space and returned read-only.
     """
-    tags = {tags} if isinstance(tags, str) else set(tags)
-    known = space.mesh.tags
-    missing = tags - known
-    if missing:
-        raise ValueError(f"unknown boundary tag(s) {sorted(missing)}; mesh has {sorted(known)}")
-    geom = element_geometry(space)
-    w1 = space.rule.weights
-    p = space.degree + 1
-    dofs, weights = [], []
-    for e, f, tag in space.mesh.boundary:
-        if tag not in tags:
-            continue
-        local = face_local_nodes(space.degree, f)
-        ax0, ax1 = FACE_TANGENTS[f]
-        jac = geom["jac"][e, local]  # (p*p, 3, 3)
-        t1, t2 = jac[:, :, ax0], jac[:, :, ax1]
-        surf = np.linalg.norm(np.cross(t1, t2), axis=1)
-        idx = np.arange(p * p)  # face ordering: first in-face axis fastest
-        w2 = w1[idx % p] * w1[idx // p]
-        dofs.append(space.emap[e, local])
-        weights.append(w2 * surf)
-    if not dofs:
-        return np.empty(0, dtype=int), np.empty(0)
+    parts = [_surface_rules(space)[t] for t in sorted(_tag_set(space, tags))]
+    if len(parts) == 1:
+        return parts[0]
+    dofs, weights = zip(*parts, (np.empty(0, dtype=int), np.empty(0)))
     return np.concatenate(dofs), np.concatenate(weights)
 
 
@@ -147,9 +154,7 @@ def assemble_damping(space: SpectralSpace, tags, impedance: float, rho0: float, 
     if impedance <= 0:
         raise ValueError("impedance must be positive")
     dofs, w = surface_quadrature(space, tags)
-    b = np.zeros(space.ndof)
-    np.add.at(b, dofs, (rho0 * c0**2 / impedance) * w)
-    return b
+    return np.bincount(dofs, weights=(rho0 * c0**2 / impedance) * w, minlength=space.ndof)
 
 
 def volume_load(space: SpectralSpace, f, t: float, mass: np.ndarray | None = None) -> np.ndarray:
@@ -172,26 +177,19 @@ def neumann_load(space: SpectralSpace, tags, g, t: float, c0: float, points: int
     callers chasing optimal rates can over-integrate with a Gauss rule of
     `points` points per face axis.
     """
-    if points is None:
-        dofs, w = surface_quadrature(space, tags)
-        out = np.zeros(space.ndof)
-        if dofs.size:
-            x = space.node_coords[dofs]
-            vals = np.asarray(g(x[:, 0], x[:, 1], x[:, 2], t), dtype=float)
-            vals = np.broadcast_to(vals, dofs.shape)
-            np.add.at(out, dofs, c0**2 * w * vals)
-        return out
-    return _neumann_load_gauss(space, tags, g, t, c0, points)
+    if points is not None:
+        return _neumann_load_gauss(space, tags, g, t, c0, points)
+    dofs, w = surface_quadrature(space, tags)
+    x = space.node_coords[dofs]
+    vals = np.broadcast_to(np.asarray(g(x[:, 0], x[:, 1], x[:, 2], t), dtype=float), dofs.shape)
+    return np.bincount(dofs, weights=c0**2 * w * vals, minlength=space.ndof)
 
 
 def _neumann_load_gauss(space: SpectralSpace, tags, g, t: float, c0: float, points: int) -> np.ndarray:
     from .gll import lagrange_all
-    from .mesh import FACE_AXIS, shape_functions, shape_gradients
+    from .mesh import FACE_AXIS, shape_functions
 
-    tags = {tags} if isinstance(tags, str) else set(tags)
-    missing = tags - space.mesh.tags
-    if missing:
-        raise ValueError(f"unknown boundary tag(s) {sorted(missing)}")
+    tags = _tag_set(space, tags)
     gx, gw = np.polynomial.legendre.leggauss(points)
     lv = lagrange_all(space.rule, gx)  # (points, r+1)
     out = np.zeros(space.ndof)

@@ -192,7 +192,17 @@ def _build_loads(cfg: dict, space, ops, nm: NewmarkConfig, problems):
         if not files:
             problems.append("source(projected): missing 'files' list of load vectors")
             return None
-        vecs = [np.load(f) for f in files]
+        vecs, bad = [], []
+        for f in files:
+            if not Path(f).is_file():
+                bad.append(f"source(projected): load file {f} does not exist")
+                continue
+            vecs.append(np.load(f))
+            if vecs[-1].shape != (space.ndof,):
+                bad.append(f"source(projected): load file {f} has shape {vecs[-1].shape}, need ({space.ndof},) = ndof")
+        if bad:
+            problems.extend(bad)
+            return None
         stride = int(src.get("stride", 1))
         # donor loads held piecewise constant between mappings
         return lambda k: vecs[min(k // stride, len(vecs) - 1)]

@@ -82,6 +82,7 @@ class HexMesh:
     elements: np.ndarray  # (ne, 8) int
     boundary: list[tuple[int, int, str]]
     _bboxes: np.ndarray = field(default=None, repr=False)
+    _h: float = field(default=None, repr=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
@@ -94,10 +95,12 @@ class HexMesh:
 
     @property
     def h(self) -> float:
-        """Characteristic size: the largest element diameter."""
-        corners = self.vertices[self.elements]  # (ne, 8, 3)
-        d = corners[:, :, None, :] - corners[:, None, :, :]
-        return float(np.sqrt((d**2).sum(-1)).max())
+        """Characteristic size: the largest element diameter, computed once."""
+        if self._h is None:
+            corners = self.vertices[self.elements]  # (ne, 8, 3)
+            d = corners[:, :, None, :] - corners[:, None, :, :]
+            self._h = float(np.sqrt((d**2).sum(-1)).max())
+        return self._h
 
     def corner_coords(self, e=None) -> np.ndarray:
         if e is None:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import AssembledOperators
-from .space import SpectralField, evaluate, write_vtk
+from .space import SpectralField, basis_at, write_vtk
 
 
 class SolverError(Exception):
@@ -146,16 +146,21 @@ def run(
     n = space.ndof
     rho0 = np.zeros(n) if initial is None else np.asarray(initial[0], dtype=float)
     v0 = np.zeros(n) if initial is None else np.asarray(initial[1], dtype=float)
+    if rho0.shape != (n,) or v0.shape != (n,) or not np.all(np.isfinite([rho0, v0])):
+        raise ValueError("initial state must be finite vectors of length ndof")
     state = WaveState(rho0, v0, initial_acceleration(ops, rho0, v0, loads(0)), 0.0, 0)
 
-    probe_refs = {}
-    for name, x in cfg.probes.items():
+    # each probe reads its element's DOFs weighted by the basis at its point
+    names = list(cfg.probes)
+    probe_dofs = np.empty((len(names), space.nloc), dtype=int)
+    probe_basis = np.empty((len(names), space.nloc))
+    for c, (name, x) in enumerate(cfg.probes.items()):
         ref = space.mesh.locate_point(np.asarray(x, dtype=float))
         if ref is None:
             raise ValueError(f"probe {name!r} at {x} is outside the mesh")
-        probe_refs[name] = (np.asarray(x, dtype=float), ref)
+        probe_dofs[c] = space.emap[ref.element]
+        probe_basis[c] = basis_at(space, ref)
 
-    names = list(cfg.probes)
     nsteps = cfg.num_steps
     times = np.empty(nsteps + 1)
     values = np.empty((nsteps + 1, len(names)))
@@ -163,13 +168,10 @@ def run(
 
     def record(k, st):
         times[k] = st.t
-        fld = SpectralField(space, st.rho)
-        for c, name in enumerate(names):
-            x, ref = probe_refs[name]
-            values[k, c] = evaluate(space, fld, x, ref=ref)
+        values[k] = np.sum(probe_basis * st.rho[probe_dofs], axis=1)
         if cfg.snapshot_stride > 0 and out_dir is not None and k % cfg.snapshot_stride == 0:
             path = Path(out_dir) / f"{run_name}_{k}.vtk"
-            write_vtk(space, {"rho": fld}, path)
+            write_vtk(space, {"rho": SpectralField(space, st.rho)}, path)
             snapshots.append(str(path))
 
     record(0, state)

@@ -35,3 +35,16 @@ def unit_space_r2(unit_mesh):
 @pytest.fixture(scope="session")
 def cube2_space_r2(cube2_mesh):
     return build_space(cube2_mesh, 2)
+
+
+@pytest.fixture(scope="session")
+def perturbed_mesh():
+    """3x2x2 box whose interior vertices are randomly moved: every element
+    touches one, so every element is non-affine with off-diagonal metric."""
+    from semwave.mesh import HexMesh
+
+    box = generate_box_mesh([(0.0, 1.5), (0.0, 1.0), (0.0, 1.0)], (3, 2, 2))
+    v = box.vertices.copy()
+    inner = np.all((v > 1e-12) & (v < box.vertices.max(axis=0) - 1e-12), axis=1)
+    v[inner] += np.random.default_rng(7).uniform(-0.12, 0.12, (inner.sum(), 3))
+    return HexMesh(v, box.elements, box.boundary)

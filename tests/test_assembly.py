@@ -251,3 +251,105 @@ def test_point_source_partition_of_unity(pt, amp, cube2_space_r2):
 def test_point_source_outside_mesh(cube2_space_r2):
     with pytest.raises(ValueError, match="outside"):
         point_source_load(cube2_space_r2, np.array([3.0, 0.5, 0.5]), 1.0)
+
+
+# -- non-affine elements against a dense oracle ---------------------------
+
+
+def _oracle_element_data(space):
+    """Per-element quadrature data from the definitions, independent of the
+    kernel: reference gradient matrices G[d] (nloc, nloc) with
+    G[d][q, i] = d phi_i / d ref_d at node q, the 3D GLL weights, and J at
+    every node of every element."""
+    x1 = space.rule.nodes
+    p = x1.size
+    # d l_j / dx at the nodes, from the monomial coefficients of l_j
+    coef = np.linalg.inv(np.vander(x1, increasing=True))  # l_j(x) = sum_k coef[k, j] x^k
+    powers = np.arange(p)
+    d1 = (powers[1:] * x1[:, None] ** (powers[1:] - 1)) @ coef[1:]
+    eye = np.eye(p)
+    grads = [np.kron(eye, np.kron(eye, d1)), np.kron(eye, np.kron(d1, eye)), np.kron(d1, np.kron(eye, eye))]
+    w = space.rule.weights
+    w3 = np.kron(w, np.kron(w, w))
+    ref = np.stack(np.meshgrid(x1, x1, x1, indexing="ij"), axis=-1).transpose(2, 1, 0, 3).reshape(-1, 3)
+    # trilinear map: corner c = i + 2j + 4k at signs s = (2i-1, 2j-1, 2k-1)
+    signs = np.array([[2 * (c & 1) - 1, 2 * ((c >> 1) & 1) - 1, 2 * ((c >> 2) & 1) - 1] for c in range(8)])
+    dshape = np.empty((ref.shape[0], 8, 3))
+    for d in range(3):
+        others = [a for a in range(3) if a != d]
+        dshape[:, :, d] = signs[:, d] * np.prod(1 + ref[:, None, others] * signs[None, :, others], axis=-1) / 8
+    corners = space.mesh.vertices[space.mesh.elements]
+    jac = np.einsum("ecx,qcd->eqxd", corners, dshape)
+    return grads, w3, jac
+
+
+def _dense_oracles(space):
+    """Dense K and C^0..C^2 of the GLL-collocated weak forms."""
+    grads, w3, jac = _oracle_element_data(space)
+    k = np.zeros((space.ndof, space.ndof))
+    c = np.zeros((3, space.ndof, space.ndof))
+    for e, m in enumerate(space.emap):
+        jinv = np.linalg.inv(jac[e])  # (nloc, 3, 3)
+        wdet = w3 * np.linalg.det(jac[e])
+        metric = jinv @ jinv.transpose(0, 2, 1)  # J^-1 J^-T, all 9 entries
+        blk = np.ix_(m, m)
+        for a in range(3):
+            for b in range(3):
+                k[blk] += grads[a].T @ ((wdet * metric[:, a, b])[:, None] * grads[b])
+            for ell in range(3):
+                c[(ell, *blk)] += grads[a].T * (wdet * jinv[:, a, ell])[None, :]
+    return k, c
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_non_affine_kernels_match_dense_oracle(perturbed_mesh, r):
+    space = build_space(perturbed_mesh, r)
+    k_ref, c_ref = _dense_oracles(space)
+    eye = np.eye(space.ndof)
+    k = np.stack([apply_stiffness(space, col) for col in eye], axis=1)
+    scale = np.abs(k_ref).max()
+    np.testing.assert_allclose(k, k_ref, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(k, k.T, rtol=0, atol=1e-13 * scale)
+    assert np.abs(k.sum(axis=1)).max() < 1e-12 * scale
+    conv = assemble_convective(space)
+    for ell in range(3):
+        c = np.stack([conv.apply(ell, col) for col in eye], axis=1)
+        np.testing.assert_allclose(c, c_ref[ell], rtol=0, atol=1e-12 * np.abs(c_ref[ell]).max())
+
+
+# -- cached surface quadrature --------------------------------------------
+
+
+def _surface_quadrature_loop(space, tag):
+    """Per-face reference for the cached rule, in mesh.boundary order."""
+    from semwave.assembly import element_geometry
+    from semwave.mesh import FACE_TANGENTS
+    from semwave.space import face_local_nodes
+
+    jac, w1 = element_geometry(space)["jac"], space.rule.weights
+    p = space.degree + 1
+    dofs, weights = [], []
+    for e, f, t in space.mesh.boundary:
+        if t != tag:
+            continue
+        local = face_local_nodes(space.degree, f)
+        ax0, ax1 = FACE_TANGENTS[f]
+        surf = np.linalg.norm(np.cross(jac[e, local][:, :, ax0], jac[e, local][:, :, ax1]), axis=1)
+        idx = np.arange(p * p)
+        dofs.append(space.emap[e, local])
+        weights.append(w1[idx % p] * w1[idx // p] * surf)
+    return np.concatenate(dofs), np.concatenate(weights)
+
+
+def test_surface_quadrature_cache_matches_fresh_build(perturbed_mesh):
+    space = build_space(perturbed_mesh, 3)
+    first = {tag: surface_quadrature(space, tag) for tag in space.mesh.tags}
+    fresh = build_space(perturbed_mesh, 3)
+    for tag, (dofs, w) in first.items():
+        again = surface_quadrature(space, tag)
+        assert again[0] is dofs and again[1] is w
+        assert not dofs.flags.writeable and not w.flags.writeable
+        for got in (again, surface_quadrature(fresh, tag), _surface_quadrature_loop(fresh, tag)):
+            np.testing.assert_array_equal(got[0], dofs)
+            np.testing.assert_array_equal(got[1], w)
+

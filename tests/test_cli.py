@@ -133,6 +133,29 @@ def test_projected_source_stride(tmp_path):
     assert loads(8)[0] == 2.0 and loads(100)[0] == 2.0
 
 
+def test_projected_source_wrong_length_is_config_error(tmp_path, capsys):
+    files = []
+    for i, n in enumerate((27, 10, 28)):
+        path = tmp_path / f"load{i}.npy"
+        np.save(path, np.zeros(n))
+        files.append(str(path))
+    cfg = {
+        "version": "1", "rho0": 1.0, "c0": 1.0, "degree": 1,
+        "mesh": {"generator": {"box": [[0, 1], [0, 1], [0, 1]], "div": [2, 2, 2]}},
+        "time": {"dt": 0.01, "t_final": 0.05},
+        "source": {"type": "projected", "files": files + [str(tmp_path / "absent.npy")]},
+    }
+    code = cli.main(["solve", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "configuration"
+    problems = err["problems"]
+    assert len(problems) == 3
+    assert "load1.npy" in problems[0] and "(10,)" in problems[0] and "(27,)" in problems[0]
+    assert "load2.npy" in problems[1] and "(28,)" in problems[1]
+    assert "absent.npy" in problems[2] and "does not exist" in problems[2]
+
+
 def test_unknown_source_type():
     problems = []
     out = cli._build_loads({"source": {"type": "magic"}}, type("S", (), {"ndof": 1})(), None, None, problems)

@@ -214,3 +214,27 @@ def test_probe_csv_roundtrip(tmp_path):
     write_probe_csv(result, path)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     np.testing.assert_allclose(data, [[0.0, 1.0, 2.0], [0.1, 3.0, 4.0]])
+
+
+def test_run_probes_match_evaluate(perturbed_mesh):
+    """Recorded probe traces equal point evaluation of the marched field."""
+    from semwave.space import SpectralField, evaluate, interpolate
+
+    space = build_space(perturbed_mesh, 3)
+    ops = assemble_operators(space, c0=1.0, rho0=1.0)
+    probes = {"a": (0.25, 0.25, 0.75), "b": (1.2, 0.8, 0.3), "c": (0.7, 0.45, 0.55), "corner": (0.0, 0.0, 0.0)}
+    cfg = NewmarkConfig(dt=0.01, t_final=0.05, probes=probes)
+    rho0 = interpolate(space, lambda x, y, z: np.sin(2 * x) * np.cos(y) + z + 1.0).coeffs
+    result = run(space, ops, lambda k: np.zeros(space.ndof), cfg, initial=(rho0, np.zeros(space.ndof)))
+    for k, rho in ((0, rho0), (cfg.num_steps, result.final.rho)):
+        expected = [evaluate(space, SpectralField(space, rho), np.array(x)) for x in probes.values()]
+        np.testing.assert_allclose(result.probe_values[k], expected, rtol=1e-14, atol=1e-15)
+
+
+def test_run_rejects_bad_initial_state(cube2_space_r2):
+    ops = assemble_operators(cube2_space_r2, c0=1.0, rho0=1.0)
+    n = cube2_space_r2.ndof
+    cfg = NewmarkConfig(dt=0.01, t_final=0.05)
+    for rho0 in (np.full(n, np.nan), np.zeros(n - 1)):
+        with pytest.raises(ValueError, match="initial state"):
+            run(cube2_space_r2, ops, lambda k: np.zeros(n), cfg, initial=(rho0, np.zeros(n)))
