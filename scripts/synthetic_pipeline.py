@@ -4,10 +4,14 @@ shear velocity field: sample the flow on a finite-volume mesh, project
 the source onto the spectral space, and propagate it with absorbing
 walls.  Thin wrapper over the three CLI stages; all intermediate
 artifacts (FV source file, projected loads, conservation report, probe
-CSV, manifests) land in the output directory.
+CSV, manifests) land in the output directory.  Each stage prints its
+wall time.
+
+    PYTHONPATH=src python scripts/synthetic_pipeline.py --out pipeline_results
 """
 import argparse
 import json
+import time
 from pathlib import Path
 
 from semwave import cli
@@ -26,7 +30,9 @@ def main() -> None:
     def stage(name, cfg, outdir):
         path = out / f"{name}.json"
         path.write_text(json.dumps(cfg, indent=2))
+        t0 = time.perf_counter()
         code = cli.main([name, "--config", str(path), "--out", str(outdir)])
+        print(f"stage {name}: {time.perf_counter() - t0:.3f} s wall")
         if code != 0:
             raise SystemExit(f"stage {name} failed with exit code {code}")
 

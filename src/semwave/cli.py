@@ -19,8 +19,8 @@ import numpy as np
 
 from . import manufactured
 from .assembly import assemble_operators, neumann_load, point_source_load, volume_load
-from .curle import ForceHistory, curle_pressure, psd
-from .fvsource import FvField, generate_box_fv, lighthill_divergence, load_fv, sample_velocity, save_fv, spanwise_average
+from .curle import CurleError, ForceHistory, curle_pressure, psd
+from .fvsource import generate_box_fv, lighthill_divergence, load_fv, sample_velocity, save_fv, spanwise_average
 from .mesh import HexMesh, generate_box_mesh
 from .newmark import NewmarkConfig, run, write_probe_csv
 from .projection import aeroacoustic_load, build_projection
@@ -72,16 +72,20 @@ def _newmark_from_config(cfg: dict, problems) -> NewmarkConfig | None:
     _require(tc, ("dt", "t_final"), problems, "time")
     if problems:
         return None
-    return NewmarkConfig(
-        dt=float(tc["dt"]),
-        t_final=float(tc["t_final"]),
-        beta=float(tc.get("beta", 0.25)),
-        gamma=float(tc.get("gamma", 0.5)),
-        cg_tol=float(tc.get("cg_tol", 1e-10)),
-        cg_maxiter=int(tc.get("cg_maxiter", 1000)),
-        snapshot_stride=int(cfg.get("snapshot_stride", 0)),
-        probes={k: tuple(v) for k, v in cfg.get("probes", {}).items()},
-    )
+    try:
+        return NewmarkConfig(
+            dt=float(tc["dt"]),
+            t_final=float(tc["t_final"]),
+            beta=float(tc.get("beta", 0.25)),
+            gamma=float(tc.get("gamma", 0.5)),
+            cg_tol=float(tc.get("cg_tol", 1e-10)),
+            cg_maxiter=int(tc.get("cg_maxiter", 1000)),
+            snapshot_stride=int(cfg.get("snapshot_stride", 0)),
+            probes={k: tuple(v) for k, v in cfg.get("probes", {}).items()},
+        )
+    except ValueError as exc:
+        problems.append(f"time: {exc}")
+        return None
 
 
 def _sha256(path) -> str:
@@ -322,13 +326,7 @@ def run_project(cfg: dict, out_dir: Path):
     from .assembly import assemble_convective
 
     conv = assemble_convective(space)
-    outputs = []
-    report = proj.conservation_report(fvmesh)
-    if fields:
-        first = fields[0].values
-        audit = proj.conservation_report(fvmesh, first[:, 0] if first.ndim == 2 else first)
-        report["transferred_mass_fv"] = audit["transferred_mass_fv"]
-        report["transferred_mass_acoustic"] = audit["transferred_mass_acoustic"]
+    outputs, audited = [], ()
     for idx, f in enumerate(fields):
         if f.values.ndim == 2:
             comps = [proj.project(f.values[:, d]).coeffs for d in range(3)]
@@ -340,10 +338,15 @@ def run_project(cfg: dict, out_dir: Path):
                 cpath = out_dir / f"projected_{idx:04d}_{'xyz'[d]}.npy"
                 np.save(cpath, comp)
                 outputs.append(cpath)
+            audited = audited or (f.values[:, 0], comps[0])
         else:
+            coeffs = proj.project(f.values).coeffs
             out = out_dir / f"projected_{idx:04d}.npy"
-            np.save(out, proj.project(f.values).coeffs)
+            np.save(out, coeffs)
             outputs.append(out)
+            audited = audited or (f.values, coeffs)
+    # the transferred-mass audit reuses the first field's (x-)projection
+    report = proj.conservation_report(fvmesh, *audited)
     rep_path = out_dir / "conservation_report.json"
     with open(rep_path, "w") as fh:
         json.dump(report, fh, indent=2)
@@ -354,19 +357,41 @@ def run_project(cfg: dict, out_dir: Path):
 # -- curle ----------------------------------------------------------------
 
 
+def _force_histories(specs, problems) -> list[ForceHistory]:
+    """Each missing or unreadable force file, and each history off the first
+    one's time base (row count, or times beyond 1e-12 relative), is one
+    problem: the observer pressures are summed sample by sample."""
+    histories = []
+    for spec in specs:
+        path = Path(spec["file"])
+        if not path.is_file():
+            problems.append(f"force file {path} does not exist")
+            continue
+        try:
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            hist = ForceHistory(rows[:, 0], rows[:, 1:4], np.asarray(spec.get("body_point", [0, 0, 0]), dtype=float))
+        except (ValueError, CurleError) as exc:
+            problems.append(f"force file {path}: {exc}")
+            continue
+        t0 = (histories[0] if histories else hist).times
+        if hist.times.shape != t0.shape or np.abs(hist.times - t0).max() > 1e-12 * np.abs(t0).max():
+            problems.append(
+                f"force file {path}: {hist.times.size} samples from t={hist.times[0]:g} at dt={hist.dt:g}, "
+                f"but the first history has {t0.size} from t={t0[0]:g} at dt={histories[0].dt:g}"
+            )
+        histories.append(hist)
+    return histories
+
+
 def run_curle(cfg: dict, out_dir: Path):
     problems = []
     _require(cfg, ("forces", "observers", "c0"), problems)
     if problems:
         raise ConfigError(problems)
     c0 = float(cfg["c0"])
-    histories = []
-    for spec in cfg["forces"]:
-        path = Path(spec["file"])
-        if not path.exists():
-            raise ConfigError([f"force file {path} does not exist"])
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        histories.append(ForceHistory(rows[:, 0], rows[:, 1:4], np.asarray(spec.get("body_point", [0, 0, 0]), dtype=float)))
+    histories = _force_histories(cfg["forces"], problems)
+    if problems:
+        raise ConfigError(problems)
 
     outputs = []
     for name, pos in cfg["observers"].items():

@@ -15,7 +15,7 @@ stamp.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +52,16 @@ class FvMesh:
     @property
     def num_faces(self) -> int:
         return self.owner.shape[0]
+
+    def cell_faces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Face incidences grouped by cell, faces ascending within each cell:
+        (cell, face, start), cell c bounded by face[start[c]:start[c + 1]]."""
+        interior = np.nonzero(self.neighbor >= 0)[0]
+        cell = np.concatenate([self.owner, self.neighbor[interior]])
+        face = np.concatenate([np.arange(self.num_faces), interior])
+        order = np.lexsort((face, cell))
+        cell, face = cell[order], face[order]
+        return cell, face, np.searchsorted(cell, np.arange(self.num_cells + 1))
 
     def validate(self):
         if np.any(self.volumes <= 0):
@@ -112,35 +122,26 @@ def generate_box_fv(bounds, divisions) -> FvMesh:
     centers = np.stack([xg.ravel(), yg.ravel(), zg.ravel()], axis=1)
     volumes = np.full(nx * ny * nz, d.prod())
 
-    def cid(i, j, k):
-        return (i * ny + j) * nz + k
-
-    owner, neighbor, area, normal, midpoint = [], [], [], [], []
-    face_areas = (d[1] * d[2], d[0] * d[2], d[0] * d[1])
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                c = cid(i, j, k)
-                ctr = centers[c]
-                for axis, (idx, n_ax) in enumerate(zip((i, j, k), (nx, ny, nz))):
-                    for sign in (-1, 1):
-                        nb_idx = [i, j, k]
-                        nb_idx[axis] += sign
-                        at_boundary = not (0 <= nb_idx[axis] < n_ax)
-                        nb = -1 if at_boundary else cid(*nb_idx)
-                        # interior faces once, owned by the lower-index cell
-                        if not at_boundary and nb < c:
-                            continue
-                        owner.append(c)
-                        neighbor.append(nb)
-                        area.append(face_areas[axis])
-                        nvec = np.zeros(3)
-                        nvec[axis] = float(sign)
-                        normal.append(nvec)
-                        mid = ctr.copy()
-                        mid[axis] += sign * d[axis] / 2
-                        midpoint.append(mid)
-    return FvMesh(centers, volumes, owner, neighbor, np.array(area), np.array(normal), np.array(midpoint))
+    # face slots (cell, axis, side -/+) in cell order; an interior face is
+    # kept once, as the + side of its lower-index owner
+    dims = np.array([nx, ny, nz])
+    idx = np.stack(np.meshgrid(*(np.arange(n) for n in dims), indexing="ij"), axis=-1).reshape(-1, 3)
+    sign = np.array([-1, 1])
+    nb_idx = idx[:, :, None] + sign  # (nc, 3, 2)
+    at_boundary = (nb_idx < 0) | (nb_idx >= dims[:, None])
+    keep = (at_boundary | (sign > 0)).ravel()
+    cells = np.arange(centers.shape[0])[:, None, None]
+    neighbor = np.where(at_boundary, -1, cells + sign * np.array([ny * nz, nz, 1])[:, None])
+    area = np.broadcast_to(np.array([d[1] * d[2], d[0] * d[2], d[0] * d[1]])[:, None], nb_idx.shape)
+    normal = np.zeros(nb_idx.shape + (3,))
+    midpoint = np.repeat(centers[:, None, None, :], 3, axis=1).repeat(2, axis=2)
+    for a in range(3):
+        normal[:, a, :, a] = sign
+        midpoint[:, a, :, a] += sign * d[a] / 2
+    return FvMesh(
+        centers, volumes, np.broadcast_to(cells, nb_idx.shape).ravel()[keep], neighbor.ravel()[keep],
+        area.ravel()[keep], normal.reshape(-1, 3)[keep], midpoint.reshape(-1, 3)[keep],
+    )
 
 
 def sample_velocity(mesh: FvMesh, u_fn, time: float = 0.0, name: str = "U") -> FvField:
@@ -150,31 +151,25 @@ def sample_velocity(mesh: FvMesh, u_fn, time: float = 0.0, name: str = "U") -> F
     return FvField(mesh, vals, time=time, name=name)
 
 
-def _cell_gradients(mesh: FvMesh, values: np.ndarray, cells) -> dict[int, np.ndarray]:
-    """Least-squares gradient per requested cell from neighbor differences.
+def _cell_gradients(mesh: FvMesh, values: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Least-squares gradient of each requested cell from neighbor differences.
 
-    Returns cell -> G with G[d, comp] = d(values_comp)/d(x_d); cells
-    without any interior neighbor get a zero gradient.
-    """
+    Returns G (len(cells), 3, ncomp), G[c, d, comp] = d(values_comp)/d(x_d):
+    the minimum-norm solution, so a direction without neighbors gets zero
+    slope.  Cells with equally many neighbors are solved together."""
     vals2 = values if values.ndim == 2 else values[:, None]
-    wanted = set(int(c) for c in cells)
-    nbrs: dict[int, list[tuple[int, int]]] = {c: [] for c in wanted}
-    interior = np.nonzero(mesh.neighbor >= 0)[0]
-    for f in interior:
-        o, n = int(mesh.owner[f]), int(mesh.neighbor[f])
-        if o in wanted:
-            nbrs[o].append(n)
-        if n in wanted:
-            nbrs[n].append(o)
-    out = {}
-    for c in wanted:
-        others = nbrs[c]
-        if not others:
-            out[c] = np.zeros((3, vals2.shape[1]))
-            continue
-        d = mesh.centers[others] - mesh.centers[c]
-        du = vals2[others] - vals2[c]
-        out[c] = np.linalg.lstsq(d, du, rcond=None)[0]
+    cell, face, _ = mesh.cell_faces()
+    inner = mesh.neighbor[face] >= 0
+    # owner + neighbor - cell is the cell across each interior face
+    cell, other = cell[inner], (mesh.owner + mesh.neighbor)[face[inner]] - cell[inner]
+    start = np.searchsorted(cell, cells)
+    count = np.searchsorted(cell, cells, side="right") - start
+    out = np.zeros((cells.size, 3, vals2.shape[1]))
+    for k in np.unique(count[count > 0]):
+        group = np.nonzero(count == k)[0]
+        nbrs = other[start[group][:, None] + np.arange(k)]  # (ng, k)
+        own = cells[group][:, None]
+        out[group] = np.linalg.pinv(mesh.centers[nbrs] - mesh.centers[own], rtol=None) @ (vals2[nbrs] - vals2[own])
     return out
 
 
@@ -183,19 +178,19 @@ def _face_values(mesh: FvMesh, values: np.ndarray) -> np.ndarray:
     boundary faces extrapolate linearly from the owner cell."""
     vals2 = values if values.ndim == 2 else values[:, None]
     out = vals2[mesh.owner].copy()
-    interior = np.nonzero(mesh.neighbor >= 0)[0]
-    if interior.size:
+    interior = mesh.neighbor >= 0
+    if interior.any():
         own, nb = mesh.owner[interior], mesh.neighbor[interior]
         d_o = np.linalg.norm(mesh.midpoint[interior] - mesh.centers[own], axis=1)
         d_n = np.linalg.norm(mesh.midpoint[interior] - mesh.centers[nb], axis=1)
         w_o = (d_n / (d_o + d_n))[:, None]
         out[interior] = w_o * vals2[own] + (1.0 - w_o) * vals2[nb]
-    bnd = np.nonzero(mesh.neighbor < 0)[0]
-    if bnd.size:
-        grads = _cell_gradients(mesh, values, np.unique(mesh.owner[bnd]))
-        for f in bnd:
-            o = int(mesh.owner[f])
-            out[f] = vals2[o] + (mesh.midpoint[f] - mesh.centers[o]) @ grads[o]
+    bnd = ~interior
+    if bnd.any():
+        cells, owner_slot = np.unique(mesh.owner[bnd], return_inverse=True)
+        grads = _cell_gradients(mesh, values, cells)
+        o = mesh.owner[bnd]
+        out[bnd] = vals2[o] + np.einsum("fd,fdm->fm", mesh.midpoint[bnd] - mesh.centers[o], grads[owner_slot])
     return out if values.ndim == 2 else out[:, 0]
 
 
@@ -263,22 +258,18 @@ def spanwise_average(field: FvField, axis: int, bins: int | None = None) -> FvFi
 
 
 def save_fv(path, mesh: FvMesh, fields: list[FvField] | None = None):
+    keys = ("owner", "neighbor", "area", "normal", "midpoint")
+    faces = zip(*(getattr(mesh, k).tolist() for k in keys))
     data = {
         "version": FV_FORMAT_VERSION,
-        "cells": [{"center": c.tolist(), "volume": float(v)} for c, v in zip(mesh.centers, mesh.volumes)],
-        "faces": [
-            {
-                "owner": int(o), "neighbor": int(n), "area": float(a),
-                "normal": nv.tolist(), "midpoint": m.tolist(),
-            }
-            for o, n, a, nv, m in zip(mesh.owner, mesh.neighbor, mesh.area, mesh.normal, mesh.midpoint)
-        ],
+        "cells": [{"center": c, "volume": v} for c, v in zip(mesh.centers.tolist(), mesh.volumes.tolist())],
+        "faces": [dict(zip(keys, f)) for f in faces],
         "fields": [
             {"name": f.name, "time": float(f.time), "values": f.values.tolist()} for f in (fields or [])
         ],
     }
     with open(path, "w") as fh:
-        json.dump(data, fh)
+        fh.write(json.dumps(data))
 
 
 def load_fv(path) -> tuple[FvMesh, list[FvField]]:

@@ -40,6 +40,9 @@ class NewmarkConfig:
             raise ValueError("need dt > 0 and t_final >= dt")
         if not (0.0 <= self.beta <= 0.5 and 0.0 <= self.gamma <= 1.0):
             raise ValueError("Newmark parameters out of range: 0<=beta<=1/2, 0<=gamma<=1")
+        steps = self.t_final / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"t_final = {self.t_final!r} is not a whole number of steps dt = {self.dt!r}")
 
     @property
     def num_steps(self) -> int:

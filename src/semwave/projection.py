@@ -2,16 +2,20 @@
 space: the rectangular coupling matrix, the consistent (non-collocated)
 mass matrix, the projection solve, and the aeroacoustic load composition.
 
-Cell-element overlap integrals: when both the FV cells and the acoustic
-elements are axis-aligned boxes (the common case here), each cell is
-clipped against the overlapping element boxes and a tensor Gauss rule is
-applied on every intersection box, which integrates the polynomial basis
-exactly.  Otherwise the code falls back to sampling: each FV cell is
-decomposed into one pyramid per face (apex at the cell center, base the
-face rebuilt as an equal-area square around its midpoint) and a tensor
-Gauss rule is mapped onto each pyramid by the Duffy transform.  Samples
-or cell parts falling outside the acoustic mesh contribute zero, so
-partial overlaps are handled naturally.
+Cell-element overlap integrals: when every acoustic element is an
+axis-aligned box, each box-shaped FV cell is clipped against the element
+boxes it overlaps (found by bounding-box tests in fixed-size batches) and
+a tensor Gauss rule is applied on every intersection box.  The rule and
+the element basis are both tensor products, so the integral of basis
+function (a, b, c) factorises into Ix[a] * Iy[b] * Iz[c] with
+I_d[a] = sum_g (d_d / 2) w_g l_a(xi_d,g) over the clip width d_d: each
+cell-element pair needs p numbers per axis, all pairs in one batch.
+Other cells, and every cell when the elements are not aligned boxes, are
+sampled instead: each FV cell is decomposed into one pyramid per face
+(apex at the cell center, base the face rebuilt as an equal-area square
+around its midpoint) and a tensor Gauss rule is mapped onto each pyramid
+by the Duffy transform.  Samples or cell parts falling outside the
+acoustic mesh contribute zero, so partial overlaps are handled naturally.
 """
 from __future__ import annotations
 
@@ -20,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fvsource import FvField, FvMesh
+from .fvsource import FvMesh
+from .gll import lagrange_all
+from .mesh import CORNER_REF, RefPoint, shape_gradients
 from .newmark import pcg
 from .space import SpectralField, SpectralSpace, basis_at
 
@@ -42,27 +48,15 @@ class CouplingMatrix:
 def consistent_mass(space: SpectralSpace) -> sp.csr_matrix:
     """Full mass matrix with Gauss-Legendre quadrature (r+1 points per axis,
     exact for the degree-2r integrand), unlike the collocated diagonal M."""
-    from .gll import lagrange_all
-    from .mesh import shape_gradients
-
     r = space.degree
     p = r + 1
     gx, gw = np.polynomial.legendre.leggauss(p)
     lv = lagrange_all(space.rule, gx)  # (p_gauss, p) 1D basis values
 
     # tensor quadrature points and basis matrix, both ordered xi fastest
-    nq = p**3
-    ref = np.empty((nq, 3))
-    w3 = np.empty(nq)
-    basis = np.empty((nq, space.nloc))
-    idx = 0
-    for k in range(p):
-        for j in range(p):
-            for i in range(p):
-                ref[idx] = (gx[i], gx[j], gx[k])
-                w3[idx] = gw[i] * gw[j] * gw[k]
-                basis[idx] = np.einsum("a,b,c->cba", lv[i], lv[j], lv[k]).ravel()
-                idx += 1
+    ref = np.stack(np.meshgrid(gx, gx, gx, indexing="ij")[::-1], axis=-1).reshape(-1, 3)
+    w3 = np.einsum("i,j,k->kji", gw, gw, gw).ravel()
+    basis = np.einsum("ia,jb,kc->kjicba", lv, lv, lv).reshape(p**3, space.nloc)
 
     corners = space.mesh.corner_coords()
     jac = np.einsum("ecx,qcd->eqxd", corners, shape_gradients(ref))
@@ -113,55 +107,62 @@ def _cell_samples(mesh: FvMesh, cell: int, faces: list[int], gx, gw) -> tuple[np
     return np.concatenate(pts), np.concatenate(wts)
 
 
-def _cell_box(mesh: FvMesh, cell: int, faces: list[int]):
-    """Axis-aligned bounds of a box-shaped cell, or None if not a box."""
-    if len(faces) != 6:
-        return None
-    lo = np.full(3, np.nan)
-    hi = np.full(3, np.nan)
-    for f in faces:
-        n = mesh.normal[f] if mesh.owner[f] == cell else -mesh.normal[f]
-        ax = int(np.argmax(np.abs(n)))
-        if abs(abs(n[ax]) - 1.0) > 1e-12:
-            return None
-        coord = mesh.midpoint[f][ax]
-        if n[ax] > 0:
-            if not np.isnan(hi[ax]):
-                return None
-            hi[ax] = coord
-        else:
-            if not np.isnan(lo[ax]):
-                return None
-            lo[ax] = coord
-    if np.any(np.isnan(lo)) or np.any(hi <= lo):
-        return None
-    return lo, hi
+def _cell_boxes(mesh: FvMesh, cell: np.ndarray, face: np.ndarray):
+    """Axis-aligned bounds (lo, hi) of every cell, plus a flag telling which
+    cells are boxes: six faces with axis-aligned outward normals, one per
+    side, and positive extent along every axis."""
+    nc = mesh.num_cells
+    n = mesh.normal[face] * np.where(mesh.owner[face] == cell, 1.0, -1.0)[:, None]
+    ax = np.argmax(np.abs(n), axis=1)
+    n_ax = n[np.arange(face.size), ax]
+    off_axis = np.abs(np.abs(n_ax) - 1.0) > 1e-12
+    side = 2 * ax + (n_ax > 0)  # lo_x, hi_x, lo_y, hi_y, lo_z, hi_z
+    per_side = np.bincount(cell * 6 + side, minlength=6 * nc).reshape(nc, 6)
+    bounds = np.zeros((nc, 6))
+    bounds[cell, side] = mesh.midpoint[face, ax]
+    lo, hi = bounds[:, 0::2], bounds[:, 1::2]
+    is_box = (
+        np.all(per_side == 1, axis=1)
+        & (np.bincount(cell, weights=off_axis, minlength=nc) == 0)
+        & np.all(hi > lo, axis=1)
+    )
+    return lo, hi, is_box
 
 
-def _element_boxes(mesh):
-    """Per-element bounds plus a flag telling whether every element is an
-    axis-aligned box (corners coincide with its bounding-box corners)."""
-    from .mesh import CORNER_REF
-
-    corners = mesh.corner_coords()  # (ne, 8, 3)
-    lo = corners.min(axis=1)
-    hi = corners.max(axis=1)
+def _elements_aligned(mesh) -> bool:
+    """Whether every element is an axis-aligned box (corners coincide with
+    its bounding-box corners)."""
+    lo, hi = mesh.element_bboxes()
     expected = np.where(CORNER_REF[None, :, :] < 0, lo[:, None, :], hi[:, None, :])
-    aligned = bool(np.allclose(corners, expected, atol=1e-12 * mesh.h))
-    return lo, hi, aligned
+    return bool(np.allclose(mesh.corner_coords(), expected, atol=1e-12 * mesh.h))
 
 
-def _tensor_basis(rule, xi_x, xi_y, xi_z):
-    """Basis values at the tensor grid of the given 1D reference coords,
-    points ordered x fastest, basis columns in local (xi-fastest) order."""
-    from .gll import lagrange_all
+_PAIR_CHUNK = 1 << 16  # cell-element bounding-box tests per batch
 
-    lx = lagrange_all(rule, xi_x)
-    ly = lagrange_all(rule, xi_y)
-    lz = lagrange_all(rule, xi_z)
-    g = xi_x.size
-    p = lx.shape[1]
-    return np.einsum("ia,jb,kc->kjicba", lx, ly, lz).reshape(g**3, p**3)
+
+def _clipped_entries(space: SpectralSpace, clo, chi, cells, gx, gw):
+    """Gauss-rule overlap integrals of the box cells `cells` with the aligned
+    element boxes, batched: yields (element, cell, values) per chunk with
+    values (npairs, nloc).  The rule on a clipped box is a tensor product,
+    so each pair needs only p one-dimensional integrals per axis."""
+    elo, ehi = space.mesh.element_bboxes()
+    eps = 1e-12 * space.mesh.h
+    chunk = max(1, _PAIR_CHUNK // space.mesh.num_elements)
+    for s in range(0, cells.size, chunk):
+        c = cells[s:s + chunk]
+        overlap = np.ones((c.size, elo.shape[0]), dtype=bool)
+        for a in range(3):
+            overlap &= (elo[:, a] < chi[c, a, None] - eps) & (ehi[:, a] > clo[c, a, None] + eps)
+        k, e = np.nonzero(overlap)
+        c = c[k]
+        lo = np.maximum(elo[e], clo[c])
+        hi = np.minimum(ehi[e], chi[c])
+        d = hi - lo
+        x = 0.5 * (lo + hi)[:, None, :] + 0.5 * d[:, None, :] * gx[None, :, None]  # (n, g, 3)
+        xi = 2.0 * (x - elo[e][:, None, :]) / (ehi[e] - elo[e])[:, None, :] - 1.0
+        axis_int = np.einsum("na,g,ngap->nap", 0.5 * d, gw, lagrange_all(space.rule, xi))
+        vals = np.einsum("nk,nj,ni->nkji", axis_int[:, 2], axis_int[:, 1], axis_int[:, 0])
+        yield e, c, vals.reshape(e.size, space.nloc)
 
 
 def assemble_coupling(space: SpectralSpace, fvmesh: FvMesh, points_per_axis: int = 3) -> CouplingMatrix:
@@ -169,52 +170,28 @@ def assemble_coupling(space: SpectralSpace, fvmesh: FvMesh, points_per_axis: int
     if fvmesh.num_faces == 0:
         raise ValueError("FV mesh has no faces; cannot decompose cells for sampling")
     gx, gw = np.polynomial.legendre.leggauss(points_per_axis)
-    cell_faces: list[list[int]] = [[] for _ in range(fvmesh.num_cells)]
-    for f in range(fvmesh.num_faces):
-        cell_faces[fvmesh.owner[f]].append(f)
-        if fvmesh.neighbor[f] >= 0:
-            cell_faces[fvmesh.neighbor[f]].append(f)
-
+    inc_cell, inc_face, start = fvmesh.cell_faces()
+    clo, chi, is_box = _cell_boxes(fvmesh, inc_cell, inc_face)
     mesh = space.mesh
-    elo, ehi, elements_aligned = _element_boxes(mesh)
-    eps = 1e-12 * mesh.h
+    if not _elements_aligned(mesh):
+        is_box[:] = False
     rows, cols, vals = [], [], []
+    hit = np.zeros(fvmesh.num_cells, dtype=bool)
+    for e, c, v in _clipped_entries(space, clo, chi, np.nonzero(is_box)[0], gx, gw):
+        hit[c] = True
+        rows.append(space.emap[e].ravel())
+        cols.append(np.repeat(c, space.nloc))
+        vals.append(v.ravel())
     outside = 0
-    empty_cols = 0
     last_elem = None
-    for cell in range(fvmesh.num_cells):
-        box = _cell_box(fvmesh, cell, cell_faces[cell]) if elements_aligned else None
-        if box is not None:
-            clo, chi = box
-            cand = np.nonzero(
-                np.all((elo < chi - eps) & (ehi > clo + eps), axis=1)
-            )[0]
-            hit = False
-            for e in cand:
-                lo2 = np.maximum(elo[e], clo)
-                hi2 = np.minimum(ehi[e], chi)
-                d = hi2 - lo2
-                # physical Gauss points per axis and their reference coords
-                xs = [0.5 * (lo2[a] + hi2[a]) + 0.5 * d[a] * gx for a in range(3)]
-                xis = [2.0 * (xs[a] - elo[e, a]) / (ehi[e, a] - elo[e, a]) - 1.0 for a in range(3)]
-                basis = _tensor_basis(space.rule, *xis)
-                w3 = np.einsum("i,j,k->kji", 0.5 * d[0] * gw, 0.5 * d[1] * gw, 0.5 * d[2] * gw).ravel()
-                hit = True
-                rows.append(space.emap[e])
-                cols.append(np.full(space.nloc, cell))
-                vals.append(w3 @ basis)
-            if not hit:
-                empty_cols += 1
-            continue
-        pts, wts = _cell_samples(fvmesh, cell, cell_faces[cell], gx, gw)
-        hit = False
+    for cell in np.nonzero(~is_box)[0]:
+        faces = inc_face[start[cell]:start[cell + 1]].tolist()
+        pts, wts = _cell_samples(fvmesh, cell, faces, gx, gw)
         for x, w in zip(pts, wts):
             ref = None
             if last_elem is not None:
                 xi = mesh._invert_map(last_elem, x, 1e-12, 50)
                 if xi is not None and np.all(np.abs(xi) <= 1.0 + 1e-10):
-                    from .mesh import RefPoint
-
                     ref = RefPoint(last_elem, np.clip(xi, -1.0, 1.0))
             if ref is None:
                 ref = mesh.locate_point(x)
@@ -222,12 +199,10 @@ def assemble_coupling(space: SpectralSpace, fvmesh: FvMesh, points_per_axis: int
                 outside += 1
                 continue
             last_elem = ref.element
-            hit = True
+            hit[cell] = True
             rows.append(space.emap[ref.element])
             cols.append(np.full(space.nloc, cell))
             vals.append(w * basis_at(space, ref))
-        if not hit:
-            empty_cols += 1
     if rows:
         m = sp.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -235,7 +210,7 @@ def assemble_coupling(space: SpectralSpace, fvmesh: FvMesh, points_per_axis: int
         ).tocsr()
     else:
         m = sp.csr_matrix((space.ndof, fvmesh.num_cells))
-    return CouplingMatrix(m, points_per_axis, outside, empty_cols)
+    return CouplingMatrix(m, points_per_axis, outside, int(fvmesh.num_cells - hit.sum()))
 
 
 @dataclass
@@ -256,9 +231,10 @@ class ProjectionOperator:
         x, _ = pcg(self.maa.dot, rhs, diag, self.cg_tol, self.cg_maxiter)
         return SpectralField(self.space, x)
 
-    def conservation_report(self, fvmesh: FvMesh, q_values=None) -> dict:
+    def conservation_report(self, fvmesh: FvMesh, q_values=None, q_acoustic=None) -> dict:
         """Column-sum audit against cell volumes, plus the transferred-mass
-        identity sum(M^AF q_F) = sum(M^AA q_A) when a field is given."""
+        identity sum(M^AF q_F) = sum(M^AA q_A) when a field is given; its
+        projection q_acoustic is computed unless passed in."""
         csums = self.coupling.column_sums()
         rel = np.abs(csums - fvmesh.volumes) / fvmesh.volumes
         report = {
@@ -270,10 +246,10 @@ class ProjectionOperator:
         }
         if q_values is not None:
             q_values = np.asarray(q_values, dtype=float)
-            lhs = float((self.coupling.matrix @ q_values).sum())
-            qa = self.project(q_values)
-            report["transferred_mass_fv"] = lhs
-            report["transferred_mass_acoustic"] = float((self.maa @ qa.coeffs).sum())
+            if q_acoustic is None:
+                q_acoustic = self.project(q_values).coeffs
+            report["transferred_mass_fv"] = float((self.coupling.matrix @ q_values).sum())
+            report["transferred_mass_acoustic"] = float((self.maa @ q_acoustic).sum())
         return report
 
 

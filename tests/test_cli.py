@@ -272,6 +272,75 @@ def test_curle_missing_force_file(tmp_path, capsys):
     assert cli.main(["curle", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+def _write_forces(path, times):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["time", "fx", "fy", "fz"])
+        for t in times:
+            w.writerow([t, 0.0, 0.0, 1.0])
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["missing", "lengths", "dt"])
+def test_curle_force_histories_checked_together(tmp_path, capsys, case):
+    """Every bad force history is one problem of one configuration error."""
+    base = _write_forces(tmp_path / "base.csv", np.arange(10) * 0.01)
+    if case == "missing":
+        files = [str(tmp_path / "nope1.csv"), base, str(tmp_path / "nope2.csv")]
+        expected = ["nope1.csv", "nope2.csv"]
+    elif case == "lengths":
+        files = [base, _write_forces(tmp_path / "long.csv", np.arange(12) * 0.01),
+                 _write_forces(tmp_path / "one.csv", [0.0])]
+        expected = ["long.csv", "one.csv"]
+    else:
+        files = [base, _write_forces(tmp_path / "coarse.csv", np.arange(10) * 0.02)]
+        expected = ["coarse.csv"]
+    cfg = {"version": "1", "c0": 343.0, "forces": [{"file": f} for f in files], "observers": {"a": [1.0, 0.0, 0.0]}}
+    code = cli.main(["curle", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    problems = json.loads(capsys.readouterr().err)["problems"]
+    assert len(problems) == len(expected)
+    for name, problem in zip(expected, problems):
+        assert name in problem
+
+
+def test_t_final_not_multiple_of_dt_is_config_error(tmp_path, capsys):
+    cfg = {
+        "version": "1", "rho0": 1.0, "c0": 1.0, "degree": 1,
+        "mesh": {"generator": {"box": [[0, 1], [0, 1], [0, 1]], "div": [1, 1, 1]}},
+        "time": {"dt": 0.002, "t_final": 0.0105},
+    }
+    code = cli.main(["solve", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    problems = json.loads(capsys.readouterr().err)["problems"]
+    assert len(problems) == 1 and "t_final" in problems[0]
+
+
+def test_project_projects_each_component_once(tmp_path, monkeypatch):
+    """The transferred-mass audit reuses the first snapshot's x projection."""
+    from semwave.projection import ProjectionOperator
+
+    fv_cfg = {
+        "version": "1", "rho0": 1.0,
+        "synthetic": {"box": [[0, 1], [0, 1], [0, 1]], "div": [3, 3, 3], "field": "shear_xy", "times": [0.0, 1.0]},
+    }
+    assert cli.main(["fv-source", "--config", _write_config(tmp_path, fv_cfg, "fv.json"), "--out", str(tmp_path / "fv")]) == 0
+    calls, built = [], []
+    project = ProjectionOperator.project
+    monkeypatch.setattr(ProjectionOperator, "project", lambda self, q: calls.append(1) or project(self, q))
+    build = cli.build_projection
+    monkeypatch.setattr(cli, "build_projection", lambda *a, **kw: built.append(build(*a, **kw)) or built[-1])
+    pr_cfg = {
+        "version": "1", "fv_file": str(tmp_path / "fv" / "fv_source.json"), "degree": 1,
+        "mesh": {"generator": {"box": [[0, 1], [0, 1], [0, 1]], "div": [2, 2, 2]}},
+    }
+    assert cli.main(["project", "--config", _write_config(tmp_path, pr_cfg, "pr.json"), "--out", str(tmp_path / "pr")]) == 0
+    assert len(calls) == 2 * 3
+    fvmesh, fields = load_fv(tmp_path / "fv" / "fv_source.json")
+    expected = built[0].conservation_report(fvmesh, fields[0].values[:, 0])
+    assert json.loads((tmp_path / "pr" / "conservation_report.json").read_text()) == expected
+
+
 def test_newmark_from_config_defaults():
     problems = []
     nm = cli._newmark_from_config({"time": {"dt": 0.1, "t_final": 1.0}}, problems)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from semwave.fvsource import (
+    FV_FORMAT_VERSION,
     FvError,
     FvField,
     FvMesh,
+    _face_values,
     boundary_flux_total,
     generate_box_fv,
     lighthill_divergence,
@@ -114,6 +116,40 @@ def test_shear_field_analytic_divergence():
     div = lighthill_divergence(mesh, sample_velocity(mesh, _shear), rho0=1.0)
     exact = np.stack([mesh.centers[:, 0], mesh.centers[:, 1], np.zeros(mesh.num_cells)], axis=1)
     assert np.max(np.abs(div.values - exact)) < 1e-12
+
+
+def _face_values_oracle(mesh, values):
+    """Face by face: inverse-distance interpolation inside, and on boundary
+    faces the owner value plus a least-squares gradient from lstsq."""
+    vals = values if values.ndim == 2 else values[:, None]
+    out = np.empty((mesh.num_faces, vals.shape[1]))
+    for f in range(mesh.num_faces):
+        o, n = mesh.owner[f], mesh.neighbor[f]
+        if n >= 0:
+            d_o = np.linalg.norm(mesh.midpoint[f] - mesh.centers[o])
+            d_n = np.linalg.norm(mesh.midpoint[f] - mesh.centers[n])
+            out[f] = (d_n * vals[o] + d_o * vals[n]) / (d_o + d_n)
+            continue
+        nbrs = [mesh.neighbor[g] if mesh.owner[g] == o else mesh.owner[g]
+                for g in range(mesh.num_faces)
+                if mesh.neighbor[g] >= 0 and o in (mesh.owner[g], mesh.neighbor[g])]
+        grad = np.zeros((3, vals.shape[1]))
+        if nbrs:
+            grad = np.linalg.lstsq(mesh.centers[nbrs] - mesh.centers[o], vals[nbrs] - vals[o], rcond=None)[0]
+        out[f] = vals[o] + (mesh.midpoint[f] - mesh.centers[o]) @ grad
+    return out if values.ndim == 2 else out[:, 0]
+
+
+@pytest.mark.parametrize("bounds, div", [
+    ([(0.0, 1.0), (0.0, 2.0), (0.0, 1.5)], (5, 4, 3)),
+    ([(0.0, 1.0), (0.0, 1.0), (0.0, 0.1)], (6, 6, 1)),  # one cell thick: no z neighbours
+])
+def test_face_values_match_per_face_lstsq(rng, bounds, div):
+    mesh = generate_box_fv(bounds, div)
+    vector = rng.standard_normal((mesh.num_cells, 3))
+    np.testing.assert_allclose(_face_values(mesh, vector), _face_values_oracle(mesh, vector), rtol=0, atol=1e-13)
+    scalar = rng.standard_normal(mesh.num_cells)
+    np.testing.assert_allclose(_face_values(mesh, scalar), _face_values_oracle(mesh, scalar), rtol=0, atol=1e-13)
 
 
 def test_smooth_field_second_order_interior():
@@ -226,6 +262,35 @@ def test_save_load_roundtrip(tmp_path):
     np.testing.assert_allclose(back_mesh.normal, mesh.normal)
     assert [f.name for f in back_fields] == ["early", "late"]  # time sorted
     np.testing.assert_allclose(back_fields[1].values, np.arange(12.0))
+
+
+def test_save_fv_bytes_match_row_by_row_layout(tmp_path, rng):
+    """The file is the one json.dump of a dict built row by row."""
+    import json
+
+    mesh = generate_box_fv([(0.0, 1.0), (-1.0, 0.3), (0.0, 0.2)], (3, 4, 2))
+    fields = [
+        FvField(mesh, rng.standard_normal((mesh.num_cells, 3)) * 1e-7, time=0.25, name="U"),
+        FvField(mesh, rng.standard_normal(mesh.num_cells) * 3e5, time=0.5, name="p"),
+    ]
+    reduced = spanwise_average(fields[0], axis=2)
+    for m, fs in ((mesh, fields), (reduced.mesh, [reduced]), (mesh, None)):
+        expected = {
+            "version": FV_FORMAT_VERSION,
+            "cells": [{"center": [float(x) for x in c], "volume": float(v)} for c, v in zip(m.centers, m.volumes)],
+            "faces": [
+                {"owner": int(m.owner[f]), "neighbor": int(m.neighbor[f]), "area": float(m.area[f]),
+                 "normal": [float(x) for x in m.normal[f]], "midpoint": [float(x) for x in m.midpoint[f]]}
+                for f in range(m.num_faces)
+            ],
+            "fields": [{"name": f.name, "time": float(f.time), "values": f.values.tolist()} for f in fs or []],
+        }
+        ref = tmp_path / "ref.json"
+        with open(ref, "w") as fh:
+            json.dump(expected, fh)
+        path = tmp_path / "fv.json"
+        save_fv(path, m, fs)
+        assert path.read_bytes() == ref.read_bytes()
 
 
 def test_load_rejects_bad_version(tmp_path):

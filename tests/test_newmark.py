@@ -95,6 +95,13 @@ def test_config_validation():
 
 def test_num_steps_rounding():
     assert NewmarkConfig(dt=0.1, t_final=1.0).num_steps == 10
+    # t_final / dt off an integer only by float roundoff
+    assert NewmarkConfig(dt=1e-5, t_final=5e-3).num_steps == 500
+
+
+def test_t_final_not_multiple_of_dt_rejected():
+    with pytest.raises(ValueError, match="whole number of steps"):
+        NewmarkConfig(dt=0.002, t_final=0.0105)
 
 
 # -- PCG ------------------------------------------------------------------

@@ -181,3 +181,158 @@ def test_projection_matches_dense_solve():
     qa = proj.project(qf)
     direct = np.linalg.solve(proj.maa.toarray(), proj.coupling.matrix @ qf)
     np.testing.assert_allclose(qa.coeffs, direct, atol=1e-9)
+
+
+# -- coupling against per-cell oracles --------------------------------------
+
+
+def _lagrange_1d(nodes, x):
+    """Cardinal polynomials on `nodes` at x by the product formula."""
+    out = np.ones(nodes.size)
+    for a in range(nodes.size):
+        for b in range(nodes.size):
+            if b != a:
+                out[a] *= (x - nodes[b]) / (nodes[a] - nodes[b])
+    return out
+
+
+def _clip_oracle(space, cell_boxes, npts):
+    """Dense M^AF columns of box cells: clip each cell against each element
+    box and sum a tensor Gauss rule on the intersection, point by point."""
+    gx, gw = np.polynomial.legendre.leggauss(npts)
+    corners = space.mesh.vertices[space.mesh.elements]
+    nodes = space.rule.nodes
+    p = nodes.size
+    dense = np.zeros((space.ndof, len(cell_boxes)))
+    for col, (clo, chi) in enumerate(cell_boxes):
+        for e in range(space.mesh.num_elements):
+            elo, ehi = corners[e].min(axis=0), corners[e].max(axis=0)
+            lo, hi = np.maximum(elo, clo), np.minimum(ehi, chi)
+            if np.any(hi <= lo):
+                continue
+            for i in range(npts):
+                for j in range(npts):
+                    for k in range(npts):
+                        t = np.array([gx[i], gx[j], gx[k]])
+                        x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+                        w = gw[i] * gw[j] * gw[k] * np.prod(0.5 * (hi - lo))
+                        xi = 2.0 * (x - elo) / (ehi - elo) - 1.0
+                        lx, ly, lz = (_lagrange_1d(nodes, xi[a]) for a in range(3))
+                        for c in range(p):
+                            for b in range(p):
+                                for a in range(p):
+                                    dense[space.emap[e, a + p * b + p * p * c], col] += w * lx[a] * ly[b] * lz[c]
+    return dense
+
+
+def _box_fv_cells(bounds, div):
+    """Bounds of the cells of generate_box_fv(bounds, div), in its order."""
+    edges = [np.linspace(lo, hi, n + 1) for (lo, hi), n in zip(bounds, div)]
+    return [
+        (np.array([edges[0][i], edges[1][j], edges[2][k]]), np.array([edges[0][i + 1], edges[1][j + 1], edges[2][k + 1]]))
+        for i in range(div[0]) for j in range(div[1]) for k in range(div[2])
+    ]
+
+
+@pytest.fixture(scope="module")
+def graded_mesh():
+    """Axis-aligned 3x2x2 box elements of unequal sizes along every axis."""
+    from semwave.mesh import HexMesh
+
+    box = generate_box_mesh(UNIT_BOX, (3, 2, 2))
+    v = box.vertices.copy()
+    v[:, 0] = 0.5 * v[:, 0] * (1.0 + v[:, 0])
+    v[:, 1] = v[:, 1] ** 2
+    v[:, 2] = np.sqrt(v[:, 2])
+    return HexMesh(v, box.elements, box.boundary)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("npts", [2, 4])
+def test_clipped_coupling_matches_per_cell_oracle(graded_mesh, degree, npts):
+    """FV cells straddling up to 2x2x2 elements, partly outside the mesh
+    (x < 0, z < 0) or wholly outside it (x > 1.15)."""
+    space = build_space(graded_mesh, degree)
+    bounds, div = [(-0.2, 1.6), (0.1, 0.9), (-0.5, 0.9)], (4, 2, 2)
+    coupling = assemble_coupling(space, generate_box_fv(bounds, div), points_per_axis=npts)
+    cells = _box_fv_cells(bounds, div)
+    dense = _clip_oracle(space, cells, npts)
+    got = coupling.matrix.toarray()
+    assert np.abs(got - dense).max() <= 1e-14 * np.abs(dense).max()
+    assert coupling.empty_columns == int(np.all(dense == 0.0, axis=0).sum()) == 4
+    assert coupling.outside_samples == 0
+    corners = graded_mesh.vertices[graded_mesh.elements]
+    elo, ehi = corners.min(axis=1), corners.max(axis=1)
+    straddle = [int(np.all(np.minimum(ehi, hi) > np.maximum(elo, lo), axis=1).sum()) for lo, hi in cells]
+    assert {0, 2, 4, 8} <= set(straddle) and max(straddle) == 8
+
+
+def _split_xmin_face(fv, cell):
+    """Replace the xmin boundary face of `cell` by its four quarters, so the
+    cell has nine faces and is no longer recognised as a box."""
+    from semwave.fvsource import FvMesh
+
+    f = int(np.nonzero((fv.owner == cell) & (fv.neighbor < 0) & (fv.normal[:, 0] < -0.5))[0][0])
+    keep = np.arange(fv.num_faces) != f
+    quarter_area = fv.area[f] / 4.0
+    mids = [fv.midpoint[f] + np.array([0.0, dy, dz]) * np.sqrt(fv.area[f])
+            for dy in (-0.25, 0.25) for dz in (-0.25, 0.25)]
+    return FvMesh(
+        fv.centers, fv.volumes,
+        np.concatenate([fv.owner[keep], np.full(4, cell)]),
+        np.concatenate([fv.neighbor[keep], np.full(4, -1)]),
+        np.concatenate([fv.area[keep], np.full(4, quarter_area)]),
+        np.concatenate([fv.normal[keep], np.tile(fv.normal[f], (4, 1))]),
+        np.concatenate([fv.midpoint[keep], mids]),
+    )
+
+
+def _sampled_oracle(space, fv, cell, npts):
+    """Column of one cell by the pyramid sampling rule, each sample located
+    and weighted on its own; returns (column, samples outside the mesh)."""
+    from semwave.projection import _cell_samples
+    from semwave.space import basis_at
+
+    gx, gw = np.polynomial.legendre.leggauss(npts)
+    faces = sorted(np.nonzero((fv.owner == cell) | (fv.neighbor == cell))[0].tolist())
+    pts, wts = _cell_samples(fv, cell, faces, gx, gw)
+    col = np.zeros(space.ndof)
+    outside = 0
+    for x, w in zip(pts, wts):
+        ref = space.mesh.locate_point(x)
+        if ref is None:
+            outside += 1
+            continue
+        np.add.at(col, space.emap[ref.element], w * basis_at(space, ref))
+    return col, outside
+
+
+def test_non_box_cell_takes_sampled_branch():
+    """On aligned elements, a cell with a split face is sampled and its
+    neighbour, still a box, is clipped.  Two Gauss points per axis are not
+    exact for r = 3, so the two rules give different columns."""
+    bounds = [(0.0, 2.0), (0.0, 1.0), (0.0, 1.0)]
+    space = build_space(generate_box_mesh(bounds, (2, 2, 2)), 3)
+    fv = _split_xmin_face(generate_box_fv(bounds, (2, 1, 1)), cell=0)
+    coupling = assemble_coupling(space, fv, points_per_axis=2)
+    got = coupling.matrix.toarray()
+    sampled, outside = _sampled_oracle(space, fv, 0, 2)
+    np.testing.assert_allclose(got[:, 0], sampled, rtol=0, atol=1e-15)
+    assert coupling.outside_samples == outside == 0
+    clipped = _clip_oracle(space, _box_fv_cells(bounds, (2, 1, 1)), 2)
+    np.testing.assert_allclose(got[:, 1], clipped[:, 1], rtol=0, atol=1e-15)
+    assert np.abs(got[:, 0] - clipped[:, 0]).max() > 1e-4
+    assert abs(got[:, 0].sum() - 1.0) < 1e-13
+
+
+def test_non_aligned_elements_sample_every_cell(perturbed_mesh):
+    space = build_space(perturbed_mesh, 1)
+    fv = generate_box_fv([(0.0, 1.5), (0.0, 1.0), (0.0, 1.0)], (3, 2, 2))
+    coupling = assemble_coupling(space, fv)
+    got = coupling.matrix.toarray()
+    total_outside = 0
+    for cell in range(fv.num_cells):
+        col, outside = _sampled_oracle(space, fv, cell, 3)
+        np.testing.assert_allclose(got[:, cell], col, rtol=0, atol=1e-14)
+        total_outside += outside
+    assert coupling.outside_samples == total_outside
