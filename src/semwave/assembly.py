@@ -15,33 +15,40 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gll import diff_matrix
-from .mesh import FACE_TANGENTS, shape_gradients
+from .mesh import FACE_TANGENTS, map_jacobians, shape_gradients
 from .space import SpectralSpace, basis_at, face_local_nodes
+
+
+def _cofactors(space: SpectralSpace) -> tuple[np.ndarray, np.ndarray]:
+    """(cof, det) at every local node: cof[a] = J[:, a+1] x J[:, a+2] (indices
+    mod 3), the rows of det(J) J^-1, shaped (3, 3, ne, nloc); det (ne, nloc)."""
+    jac = map_jacobians(space.mesh.corner_coords(), space.local_nodes_ref())
+    cols = jac.transpose(1, 0, 2, 3)  # cols[d, x] = J[x, d], (3, 3, ne, nloc)
+    cof = np.stack([np.cross(cols[(a + 1) % 3], cols[(a + 2) % 3], axis=0) for a in range(3)])
+    return cof, (cols[0] * cof[0]).sum(axis=0)
 
 
 def element_geometry(space: SpectralSpace) -> dict:
     """Per-element, per-GLL-node geometric factors, cached on the space.
 
-    Keys: ``jac`` (ne,nloc,3,3) with J[x,d] = dx/dref_d, ``inv``
-    (J^-1), ``wdet`` (3D GLL weight times |det J|), ``g6`` (6,ne,nloc),
-    the xx, yy, zz, xy, xz, yz components of the symmetric stiffness
-    metric wdet * J^-1 J^-T, and ``dmat``, the 1D differentiation matrix.
-    ``surface`` is added by the first surface_quadrature call.
+    Keys: ``wdet`` (ne,nloc), the 3D GLL weight times det J; ``g6``
+    (6,ne,nloc), the xx, yy, zz, xy, xz, yz components of the symmetric
+    stiffness metric wdet J^-1 J^-T, in closed form w (cof_a . cof_b) / det
+    from the cofactors (see _cofactors); and ``dmat``, the 1D
+    differentiation matrix.  ``surface`` is added by the first
+    surface_quadrature call and ``jinvt`` (J^-T, (3,3,ne,nloc)) by the first
+    ConvectiveOperators.apply.
     """
     if "wdet" in space._geom:
         return space._geom
-    ref = space.local_nodes_ref()
-    dshape = shape_gradients(ref)  # (nloc, 8, 3)
-    corners = space.mesh.corner_coords()  # (ne, 8, 3)
-    jac = np.einsum("ecx,qcd->eqxd", corners, dshape)
-    det = np.linalg.det(jac)
+    cof, det = _cofactors(space)
     if np.any(det <= 0):
         raise ValueError("non-positive Jacobian at a quadrature node")
-    inv = np.linalg.inv(jac)  # (ne, nloc, 3, 3), inv[d, x]
-    wdet = space.tensor_weights()[None, :] * det
+    w = space.tensor_weights()
+    scale = w / det
     sym = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-    g6 = np.stack([wdet * np.einsum("eqx,eqx->eq", inv[:, :, a], inv[:, :, b]) for a, b in sym])
-    space._geom.update(jac=jac, inv=inv, wdet=wdet, g6=g6, dmat=diff_matrix(space.rule))
+    g6 = np.stack([scale * (cof[a, 0] * cof[b, 0] + cof[a, 1] * cof[b, 1] + cof[a, 2] * cof[b, 2]) for a, b in sym])
+    space._geom.update(wdet=w * det, g6=g6, dmat=diff_matrix(space.rule))
     return space._geom
 
 
@@ -94,10 +101,13 @@ class ConvectiveOperators:
     def apply(self, ell: int, q: np.ndarray) -> np.ndarray:
         space = self.space
         geom = element_geometry(space)
+        if "jinvt" not in geom:
+            cof, det = _cofactors(space)
+            geom["jinvt"] = np.swapaxes(cof, 0, 1) / det  # J^-T[l, d] = J^-1[d, l] = cof[d, l] / det
         s = geom["wdet"] * q[space.emap]  # (ne, nloc)
-        # [grad phi_i]_l = sum_d J^-T[l,d] Dhat_d phi_i;  J^-T[l,d] = inv[d,l]
-        jt = geom["inv"][..., ell]
-        return _scatter(space, _grad_ref_t(jt[..., 0] * s, jt[..., 1] * s, jt[..., 2] * s, geom["dmat"]))
+        # [grad phi_i]_l = sum_d J^-T[l,d] Dhat_d phi_i
+        jt = geom["jinvt"][ell]
+        return _scatter(space, _grad_ref_t(jt[0] * s, jt[1] * s, jt[2] * s, geom["dmat"]))
 
 
 def assemble_convective(space: SpectralSpace) -> ConvectiveOperators:
@@ -120,14 +130,17 @@ def _surface_rules(space: SpectralSpace) -> dict[str, tuple[np.ndarray, np.ndarr
     if "surface" not in geom:
         w1 = space.rule.weights
         w2 = np.outer(w1, w1).ravel()  # face ordering: first in-face axis fastest
-        elem, face, tag = (np.array(c) for c in zip(*space.mesh.boundary))
+        elem, face, tag = space.mesh.boundary_arrays()
+        corners, ref = space.mesh.corner_coords(), space.local_nodes_ref()
         dofs = np.empty((elem.size, w2.size), dtype=int)
         weights = np.empty((elem.size, w2.size))
-        for f, (ax0, ax1) in enumerate(FACE_TANGENTS):
+        for f, axes in enumerate(FACE_TANGENTS):
             on_f, local = face == f, face_local_nodes(space.degree, f)
-            jac = geom["jac"][elem[on_f, None], local]  # (faces, p*p, 3, 3)
+            dshape = shape_gradients(ref[local])  # (p*p, 8, 3)
+            # the two in-face columns of J at the face nodes, (faces, p*p, 3) each
+            t0, t1 = (dshape[:, :, a] @ corners[elem[on_f]] for a in axes)
             dofs[on_f] = space.emap[elem[on_f, None], local]
-            weights[on_f] = w2 * np.linalg.norm(np.cross(jac[..., ax0], jac[..., ax1]), axis=-1)
+            weights[on_f] = w2 * np.linalg.norm(np.cross(t0, t1), axis=-1)
         geom["surface"] = {t: (dofs[tag == t].ravel(), weights[tag == t].ravel()) for t in space.mesh.tags}
         for arrays in geom["surface"].values():
             for a in arrays:

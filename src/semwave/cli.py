@@ -1,7 +1,9 @@
 """Batch front end: `semwave <subcommand> --config file.json --out dir`.
 
 Subcommands: mms, solve, project, fv-source, curle, mesh-gen.  Every run
-writes a manifest (config echo plus SHA-256 of each output file).  All
+writes a manifest (config echo plus SHA-256 of each output file); a solve
+manifest also holds a ``metrics`` block (ndof, nsteps, set-up and march
+wall times).  All
 physical constants must be explicit in the config; there are no hidden
 defaults for rho0, c0 or Z.
 """
@@ -96,12 +98,14 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_dir: Path, cfg: dict, outputs: list[Path], seed=None):
+def write_manifest(out_dir: Path, cfg: dict, outputs: list[Path], seed=None, metrics: dict | None = None):
     manifest = {
         "config": cfg,
         "seed": seed,
         "outputs": {p.name: _sha256(p) for p in outputs},
     }
+    if metrics:
+        manifest["metrics"] = metrics
     path = out_dir / "manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -239,7 +243,12 @@ def _initial_from_config(cfg: dict, space, c0: float):
     return rho, vel
 
 
-def run_solve(cfg: dict, out_dir: Path, run_name: str = "solve"):
+def run_solve(cfg: dict, out_dir: Path, run_name: str = "solve", metrics: dict | None = None):
+    """Build the space, operators and loads of cfg and march them.
+
+    metrics, when given, receives ndof, nsteps and the wall times of the
+    set-up (config to first step) and of the march, in seconds."""
+    t0 = _time.perf_counter()
     problems = []
     _require(cfg, ("rho0", "c0", "mesh", "degree", "time"), problems)
     nm = _newmark_from_config(cfg, problems)
@@ -259,7 +268,11 @@ def run_solve(cfg: dict, out_dir: Path, run_name: str = "solve"):
         raise ConfigError(problems)
     initial = _initial_from_config(cfg, space, ops.c0)
 
+    t1 = _time.perf_counter()
     result = run(space, ops, loads, nm, initial=initial, out_dir=out_dir, run_name=run_name)
+    if metrics is not None:
+        metrics.update(ndof=space.ndof, nsteps=nm.num_steps, setup_wall_s=t1 - t0,
+                       march_wall_s=_time.perf_counter() - t1)
     outputs = [Path(p) for p in result.snapshot_files]
     probe_path = out_dir / f"{run_name}_probes.csv"
     write_probe_csv(result, probe_path)
@@ -460,17 +473,18 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         np.random.seed(args.seed)
+        metrics: dict = {}
         if args.command == "mms":
             outputs = [run_mms(cfg, out_dir)]
         elif args.command == "solve":
-            _, outputs = run_solve(cfg, out_dir)
+            _, outputs = run_solve(cfg, out_dir, metrics=metrics)
         elif args.command == "fv-source":
             outputs = [run_fv_source(cfg, out_dir)]
         elif args.command == "project":
             _, outputs = run_project(cfg, out_dir)
         else:
             outputs = run_curle(cfg, out_dir)
-        write_manifest(out_dir, cfg, [Path(p) for p in outputs], seed=args.seed)
+        write_manifest(out_dir, cfg, [Path(p) for p in outputs], seed=args.seed, metrics=metrics)
         return 0
     except ConfigError as exc:
         json.dump({"error": "configuration", "problems": exc.problems}, sys.stderr)

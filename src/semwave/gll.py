@@ -69,6 +69,20 @@ def gll_rule(r: int) -> GllRule:
     return GllRule(degree=r, nodes=x, weights=w, bary=bary)
 
 
+def tensor_rule(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """3D tensor product of a 1D rule, first axis fastest: point i + n j + n^2 k
+    is (x_i, x_j, x_k), with weight w_i w_j w_k."""
+    points = np.stack(np.meshgrid(x, x, x, indexing="ij")[::-1], axis=-1).reshape(-1, 3)
+    return points, ((w[None, :] * w[:, None])[None] * w[:, None, None]).ravel()
+
+
+def tensor_basis(lv: np.ndarray) -> np.ndarray:
+    """Tensor basis at the points of a tensor rule, (n^3, p^3) in the ordering of
+    tensor_rule and of the local nodes, from 1D values lv[point, node] (n, p)."""
+    n, p = lv.shape
+    return np.einsum("ia,jb,kc->kjicba", lv, lv, lv).reshape(n**3, p**3)
+
+
 def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     diff = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(diff, 1.0)

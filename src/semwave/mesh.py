@@ -73,6 +73,33 @@ def shape_gradients(ref: np.ndarray) -> np.ndarray:
     return grad / 8.0
 
 
+def map_jacobians(corners: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """J[x, d, e, q] = dx/dref_d of the trilinear maps of corners (ne, 8, 3) at
+    the reference points ref (nq, 3), shape (3, 3, ne, nq): one (3*ne, 8) @
+    (8, 3*nq) matmul, so each (ne, nq) component is made of contiguous rows."""
+    dshape = shape_gradients(ref).transpose(1, 2, 0).reshape(8, -1)  # (8, d * nq)
+    jac = corners.transpose(2, 0, 1).reshape(-1, 8) @ dshape  # (x * ne, d * nq)
+    return jac.reshape(3, len(corners), 3, len(ref)).transpose(0, 2, 1, 3)
+
+
+def group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of an integer array in order of first appearance.
+
+    Returns (ids, first): ids[i] is the number of row i's group and first[g]
+    the index of the first row of group g.  One lexsort, no Python loop.
+    """
+    order = np.lexsort(keys.T[::-1])  # stable: each group lists its rows in order
+    s = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(s[1:] != s[:-1], axis=1)
+    first = order[new]
+    rank = np.empty(first.size, dtype=int)
+    rank[np.argsort(first)] = np.arange(first.size)
+    ids = np.empty(len(order), dtype=int)
+    ids[order] = rank[np.cumsum(new) - 1]
+    return ids, np.sort(first)
+
+
 @dataclass
 class HexMesh:
     """Conforming hex mesh: vertex coordinates, 8-corner elements, tagged
@@ -97,9 +124,9 @@ class HexMesh:
     def h(self) -> float:
         """Characteristic size: the largest element diameter, computed once."""
         if self._h is None:
-            corners = self.vertices[self.elements]  # (ne, 8, 3)
-            d = corners[:, :, None, :] - corners[:, None, :, :]
-            self._h = float(np.sqrt((d**2).sum(-1)).max())
+            i, j = np.triu_indices(8, 1)
+            d = self.vertices[self.elements[:, i]] - self.vertices[self.elements[:, j]]  # (ne, 28, 3)
+            self._h = float(np.sqrt((d**2).sum(-1).max(initial=0.0)))
         return self._h
 
     def corner_coords(self, e=None) -> np.ndarray:
@@ -113,37 +140,52 @@ class HexMesh:
 
     # -- validation -------------------------------------------------------
 
+    def boundary_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(element, local face, tag) of every boundary entry as arrays, in boundary order."""
+        elem, face, tag = zip(*self.boundary) if self.boundary else ((), (), ())
+        return np.array(elem, dtype=int), np.array(face, dtype=int), np.array(tag)
+
     def validate(self):
         ne = self.num_elements
         if self.elements.min(initial=0) < 0 or self.elements.max(initial=-1) >= len(self.vertices):
             raise MeshError("element vertex index out of range")
         # positive Jacobian at all corners
-        grad = shape_gradients(CORNER_REF)  # (8, 8, 3)
-        corners = self.corner_coords()  # (ne, 8, 3)
-        jac = np.einsum("ecx,qcd->eqxd", corners, grad)
-        det = np.linalg.det(jac)
+        det = np.linalg.det(map_jacobians(self.corner_coords(), CORNER_REF).transpose(2, 3, 0, 1))  # (ne, 8)
         if np.any(det <= 0):
             bad = int(np.argwhere(det <= 0)[0][0])
             raise DegenerateElementError(f"element {bad} has non-positive Jacobian at a corner")
-        # conformity: every face occurs twice (interior) or once + tagged
-        counts: dict[frozenset, int] = {}
-        for e in range(ne):
-            for f in range(6):
-                key = frozenset(self.elements[e, FACE_CORNERS[f]])
-                counts[key] = counts.get(key, 0) + 1
-        tagged = set()
-        for e, f, tag in self.boundary:
-            key = frozenset(self.elements[e, FACE_CORNERS[f]])
-            if counts.get(key, 0) != 1:
-                raise MeshError(f"boundary face (elem {e}, face {f}, tag {tag!r}) is not exterior")
-            if key in tagged:
-                raise MeshError(f"face (elem {e}, face {f}) tagged more than once")
-            tagged.add(key)
-        for key, n in counts.items():
-            if n == 1 and key not in tagged:
+        elem, face, _ = self.boundary_arrays()
+        missing = (elem < 0) | (elem >= ne) | (face < 0) | (face > 5)
+        if missing.any():
+            e, f, t = self.boundary[int(np.argmax(missing))]
+            raise MeshError(f"boundary face (elem {e}, face {f}, tag {t!r}) does not exist")
+        # conformity: every face occurs twice (interior) or once + tagged.  A
+        # face is its set of corner ids; faces are numbered in order of first
+        # appearance, element faces (element-major) before boundary entries.
+        keys = np.sort(np.concatenate([
+            self.elements[:, FACE_CORNERS].reshape(-1, 4), self.elements[elem[:, None], FACE_CORNERS[face]],
+        ]), axis=1)
+        keys[:, 1:][keys[:, 1:] == keys[:, :-1]] = -1  # a repeated corner counts once, as in a set
+        keys.sort(axis=1)
+        ids, _ = group_rows(keys)
+        counts = np.bincount(ids[: 6 * ne], minlength=ids.max(initial=-1) + 1)
+        bids = ids[6 * ne:]
+        repeated = np.ones(bids.size, dtype=bool)
+        repeated[np.unique(bids, return_index=True)[1]] = False
+        exterior = counts[bids] == 1
+        if np.any(~exterior | repeated):
+            i = int(np.argmax(~exterior | repeated))
+            e, f, t = self.boundary[i]
+            if not exterior[i]:
+                raise MeshError(f"boundary face (elem {e}, face {f}, tag {t!r}) is not exterior")
+            raise MeshError(f"face (elem {e}, face {f}) tagged more than once")
+        tagged = np.zeros(counts.size, dtype=bool)
+        tagged[bids] = True
+        bad = ((counts == 1) & ~tagged) | (counts > 2)
+        if bad.any():
+            if counts[np.argmax(bad)] == 1:
                 raise MeshError("untagged exterior face found: mesh is non-conforming or boundary is incomplete")
-            if n > 2:
-                raise MeshError("face shared by more than two elements")
+            raise MeshError("face shared by more than two elements")
 
     # -- geometry ---------------------------------------------------------
 
@@ -260,37 +302,18 @@ def generate_box_mesh(bounds, divisions, tags: dict[str, str] | None = None) -> 
     xg, yg, zg = np.meshgrid(xs, ys, zs, indexing="ij")
     vertices = np.stack([xg.ravel(), yg.ravel(), zg.ravel()], axis=1)
 
-    def vid(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
+    # element (i, j, k), k fastest; corner c = a + 2b + 4d sits at vertex (i+a, j+b, k+d)
+    vid = np.arange(len(vertices)).reshape(nx + 1, ny + 1, nz + 1)
+    elements = np.stack(
+        [vid[a : a + nx, b : b + ny, d : d + nz] for d in (0, 1) for b in (0, 1) for a in (0, 1)], axis=-1
+    ).reshape(-1, 8)
 
-    elements = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                elements.append(
-                    [
-                        vid(i, j, k), vid(i + 1, j, k),
-                        vid(i, j + 1, k), vid(i + 1, j + 1, k),
-                        vid(i, j, k + 1), vid(i + 1, j, k + 1),
-                        vid(i, j + 1, k + 1), vid(i + 1, j + 1, k + 1),
-                    ]
-                )
-
-    def eid(i, j, k):
-        return (i * ny + j) * nz + k
-
+    # per axis, the min and max side faces alternate, the other two axes in order
+    eid = np.arange(nx * ny * nz).reshape(nx, ny, nz)
     boundary = []
-    for j in range(ny):
-        for k in range(nz):
-            boundary.append((eid(0, j, k), 0, t["xmin"]))
-            boundary.append((eid(nx - 1, j, k), 1, t["xmax"]))
-    for i in range(nx):
-        for k in range(nz):
-            boundary.append((eid(i, 0, k), 2, t["ymin"]))
-            boundary.append((eid(i, ny - 1, k), 3, t["ymax"]))
-    for i in range(nx):
-        for j in range(ny):
-            boundary.append((eid(i, j, 0), 4, t["zmin"]))
-            boundary.append((eid(i, j, nz - 1), 5, t["zmax"]))
+    for axis, side in enumerate((eid[[0, -1]], eid[:, [0, -1]], eid[:, :, [0, -1]])):
+        pairs = np.moveaxis(side, axis, -1).ravel().tolist()
+        names = (t["xyz"[axis] + "min"], t["xyz"[axis] + "max"])
+        boundary += [(e, 2 * axis + n % 2, names[n % 2]) for n, e in enumerate(pairs)]
 
-    return HexMesh(vertices, np.array(elements, dtype=int), boundary)
+    return HexMesh(vertices, elements, boundary)

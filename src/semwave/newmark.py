@@ -93,14 +93,18 @@ def initial_acceleration(ops: AssembledOperators, rho0, v0, f0) -> np.ndarray:
     return (f0 - ops.damping * v0 - ops.c0**2 * ops.stiffness(rho0)) / ops.mass
 
 
-def newmark_step(state: WaveState, ops: AssembledOperators, load_next: np.ndarray, cfg: NewmarkConfig) -> WaveState:
-    """Advance one step; load_next is the load vector at t^{k+1}."""
+def newmark_step(
+    state: WaveState, ops: AssembledOperators, load_next: np.ndarray, cfg: NewmarkConfig, diag=None
+) -> WaveState:
+    """Advance one step; load_next is the load vector at t^{k+1}.  diag is the
+    step-independent M + gamma dt B, made here when not given."""
     dt, beta, gamma = cfg.dt, cfg.beta, cfg.gamma
     c2 = ops.c0**2
     rho_pred = state.rho + dt * state.vel + (0.5 - beta) * dt**2 * state.acc
     v_pred = state.vel + (1.0 - gamma) * dt * state.acc
     rhs = load_next - ops.damping * v_pred - c2 * ops.stiffness(rho_pred)
-    diag = ops.mass + gamma * dt * ops.damping
+    if diag is None:
+        diag = ops.mass + gamma * dt * ops.damping
     if beta == 0.0:
         acc = rhs / diag
     else:
@@ -178,13 +182,14 @@ def run(
             snapshots.append(str(path))
 
     record(0, state)
+    diag = ops.mass + cfg.gamma * cfg.dt * ops.damping
     for k in range(nsteps):
         load_next = np.asarray(loads(k + 1), dtype=float)
         if not np.all(np.isfinite(load_next)):
             # a non-finite load makes the whole step non-finite; report it
             # before it reaches the linear solver
             raise SolverError(f"non-finite solution first detected at step {k + 1}")
-        state = newmark_step(state, ops, load_next, cfg)
+        state = newmark_step(state, ops, load_next, cfg, diag)
         if not np.all(np.isfinite(state.rho)):
             raise SolverError(f"non-finite solution first detected at step {state.step}")
         record(k + 1, state)

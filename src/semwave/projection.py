@@ -25,8 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fvsource import FvMesh
-from .gll import lagrange_all
-from .mesh import CORNER_REF, RefPoint, shape_gradients
+from .gll import lagrange_all, tensor_basis, tensor_rule
+from .mesh import CORNER_REF, RefPoint, map_jacobians
 from .newmark import pcg
 from .space import SpectralField, SpectralSpace, basis_at
 
@@ -48,19 +48,11 @@ class CouplingMatrix:
 def consistent_mass(space: SpectralSpace) -> sp.csr_matrix:
     """Full mass matrix with Gauss-Legendre quadrature (r+1 points per axis,
     exact for the degree-2r integrand), unlike the collocated diagonal M."""
-    r = space.degree
-    p = r + 1
-    gx, gw = np.polynomial.legendre.leggauss(p)
-    lv = lagrange_all(space.rule, gx)  # (p_gauss, p) 1D basis values
+    gx, gw = np.polynomial.legendre.leggauss(space.degree + 1)
+    ref, w3 = tensor_rule(gx, gw)  # tensor quadrature, xi fastest
+    basis = tensor_basis(lagrange_all(space.rule, gx))  # (nloc, nloc)
 
-    # tensor quadrature points and basis matrix, both ordered xi fastest
-    ref = np.stack(np.meshgrid(gx, gx, gx, indexing="ij")[::-1], axis=-1).reshape(-1, 3)
-    w3 = np.einsum("i,j,k->kji", gw, gw, gw).ravel()
-    basis = np.einsum("ia,jb,kc->kjicba", lv, lv, lv).reshape(p**3, space.nloc)
-
-    corners = space.mesh.corner_coords()
-    jac = np.einsum("ecx,qcd->eqxd", corners, shape_gradients(ref))
-    wdet = w3[None, :] * np.linalg.det(jac)
+    wdet = w3 * np.linalg.det(map_jacobians(space.mesh.corner_coords(), ref).transpose(2, 3, 0, 1))
     local = np.einsum("eq,qi,qj->eij", wdet, basis, basis)
     rows = np.repeat(space.emap, space.nloc, axis=1).ravel()
     cols = np.tile(space.emap, (1, space.nloc)).ravel()

@@ -1,10 +1,13 @@
 """Continuous degree-r spectral element space on a hex mesh.
 
-Global degrees of freedom are the geometrically distinct GLL node
-positions; nodes from neighbouring elements are merged by coordinate
-hashing with tolerance 1e-10 * h, which is adequate for conforming
-meshes (shared-face nodes are bit-identical because the trilinear map
-restricted to a face depends only on that face's corners).
+Global degrees of freedom are numbered from the mesh topology, with no
+coordinate tolerance.  Local node (i, j, k) of an element gives each corner
+c the integer weight w_c = prod over the axes of (i or r - i), whichever the
+corner sits at; its key is the sorted set of (vertex id, w_c) pairs with
+w_c > 0.  The key names the same node from every element touching it, in
+any orientation, whether the node lies on a vertex, an edge, a face or
+inside the element.  Equal keys are one DOF, numbered in order of first
+appearance (element-major, local node minor).
 
 Local node ordering inside an element is lexicographic with the xi
 index fastest: local = i + (r+1) j + (r+1)^2 k.
@@ -15,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gll import GllRule, gll_rule, lagrange_all
-from .mesh import HexMesh, RefPoint, shape_functions
+from .gll import GllRule, gll_rule, lagrange_all, tensor_basis, tensor_rule
+from .mesh import CORNER_REF, FACE_AXIS, HexMesh, RefPoint, group_rows, map_jacobians, shape_functions
 
 
 @dataclass
@@ -36,93 +39,48 @@ class SpectralSpace:
 
     def local_nodes_ref(self) -> np.ndarray:
         """Reference coordinates of the local nodes, shape (nloc, 3)."""
-        g = self.rule.nodes
-        p = self.degree + 1
-        out = np.empty((self.nloc, 3))
-        idx = 0
-        for k in range(p):
-            for j in range(p):
-                for i in range(p):
-                    out[idx] = (g[i], g[j], g[k])
-                    idx += 1
-        return out
+        return tensor_rule(self.rule.nodes, self.rule.weights)[0]
 
     def tensor_weights(self) -> np.ndarray:
         """3D GLL weights per local node, shape (nloc,)."""
-        w = self.rule.weights
-        p = self.degree + 1
-        out = np.empty(self.nloc)
-        for k in range(p):
-            for j in range(p):
-                for i in range(p):
-                    out[i + p * j + p * p * k] = w[i] * w[j] * w[k]
-        return out
+        return tensor_rule(self.rule.nodes, self.rule.weights)[1]
 
 
 def build_space(mesh: HexMesh, r: int) -> SpectralSpace:
     """Number the global GLL DOFs of the degree-r space on mesh."""
     rule = gll_rule(r)
     p = r + 1
-    nloc = p**3
-
-    # reference positions of the local nodes (xi fastest)
-    g = rule.nodes
-    ref = np.empty((nloc, 3))
-    idx = 0
-    for k in range(p):
-        for j in range(p):
-            for i in range(p):
-                ref[idx] = (g[i], g[j], g[k])
-                idx += 1
-
-    n_shape = shape_functions(ref)  # (nloc, 8)
+    ref = tensor_rule(rule.nodes, rule.weights)[0]  # (nloc, 3), xi fastest
     corners = mesh.corner_coords()  # (ne, 8, 3)
-    phys = np.einsum("qc,ecx->eqx", n_shape, corners)  # (ne, nloc, 3)
+    phys = np.einsum("qc,ecx->eqx", shape_functions(ref), corners).reshape(-1, 3)
 
-    tol = 1e-10 * mesh.h
-    keys = np.round(phys / tol).astype(np.int64)
-    seen: dict[tuple, int] = {}
-    ne = mesh.num_elements
-    emap = np.empty((ne, nloc), dtype=int)
-    coords: list[np.ndarray] = []
-    for e in range(ne):
-        for q in range(nloc):
-            key = tuple(keys[e, q])
-            gid = seen.get(key)
-            if gid is None:
-                gid = len(coords)
-                seen[key] = gid
-                coords.append(phys[e, q])
-            emap[e, q] = gid
+    # corner weights of each local node: (i or r - i) per axis, (nloc, 8)
+    q = np.arange(p**3)
+    ijk = np.stack([q % p, q // p % p, q // (p * p)], axis=1)
+    weight = np.where(CORNER_REF > 0, ijk[:, None, :], r - ijk[:, None, :]).prod(axis=-1)
+    keys = mesh.elements[:, None, :] * (r**3 + 1) + weight
+    keys[:, weight == 0] = -1
+    keys.sort(axis=-1)
+    ids, first = group_rows(keys.reshape(-1, 8))
+    emap = ids.reshape(mesh.num_elements, -1)
 
-    node_coords = np.array(coords)
-    boundary_dofs: dict[str, set] = {}
-    for e, f, tag in mesh.boundary:
-        local = face_local_nodes(r, f)
-        boundary_dofs.setdefault(tag, set()).update(emap[e, local].tolist())
-    bdofs = {t: np.array(sorted(s), dtype=int) for t, s in boundary_dofs.items()}
+    elem, face, tag = mesh.boundary_arrays()
+    local = np.stack([face_local_nodes(r, f) for f in range(6)])
+    face_dofs = emap[elem[:, None], local[face]]
+    bdofs = {t: np.unique(face_dofs[tag == t]) for t in dict.fromkeys(tag.tolist())}
 
     return SpectralSpace(
-        mesh=mesh, degree=r, rule=rule, ndof=len(coords),
-        emap=emap, node_coords=node_coords, boundary_dofs=bdofs,
+        mesh=mesh, degree=r, rule=rule, ndof=first.size,
+        emap=emap, node_coords=phys[first], boundary_dofs=bdofs,
     )
 
 
 def face_local_nodes(r: int, f: int) -> np.ndarray:
-    """Local node indices on local face f, ordered over the two in-face axes."""
-    p = r + 1
-    fixed = 0 if f < 2 else (1 if f < 4 else 2)
-    val = 0 if f % 2 == 0 else r
-    out = []
-    axes = [a for a in range(3) if a != fixed]
-    for b in range(p):
-        for a in range(p):
-            ijk = [0, 0, 0]
-            ijk[fixed] = val
-            ijk[axes[0]] = a
-            ijk[axes[1]] = b
-            out.append(ijk[0] + p * ijk[1] + p * p * ijk[2])
-    return np.array(out, dtype=int)
+    """Local node indices on local face f, ordered over the two in-face axes
+    (the first fastest)."""
+    axis, sign = FACE_AXIS[f]
+    local = np.arange((r + 1) ** 3).reshape((r + 1,) * 3)  # [k, j, i]
+    return np.take(local, 0 if sign < 0 else r, axis=2 - axis).ravel()
 
 
 @dataclass
@@ -183,25 +141,11 @@ def l2_error(space: SpectralSpace, field: SpectralField, exact, points: int | No
         ex = exact(xq[..., 0], xq[..., 1], xq[..., 2])
         return float(np.sqrt(np.sum(wdet * (nodal - ex) ** 2)))
 
-    from .mesh import shape_gradients
-
     gx, gw = np.polynomial.legendre.leggauss(points)
-    lv = lagrange_all(space.rule, gx)  # (points, r+1)
-    nq = points**3
-    ref = np.empty((nq, 3))
-    w3 = np.empty(nq)
-    basis = np.empty((nq, space.nloc))
-    idx = 0
-    for k in range(points):
-        for j in range(points):
-            for i in range(points):
-                ref[idx] = (gx[i], gx[j], gx[k])
-                w3[idx] = gw[i] * gw[j] * gw[k]
-                basis[idx] = np.einsum("a,b,c->cba", lv[i], lv[j], lv[k]).ravel()
-                idx += 1
+    ref, w3 = tensor_rule(gx, gw)
+    basis = tensor_basis(lagrange_all(space.rule, gx))  # (points^3, nloc)
     corners = space.mesh.corner_coords()
-    jac = np.einsum("ecx,qcd->eqxd", corners, shape_gradients(ref))
-    wdet = w3[None, :] * np.linalg.det(jac)
+    wdet = w3 * np.linalg.det(map_jacobians(corners, ref).transpose(2, 3, 0, 1))
     xq = np.einsum("qc,ecx->eqx", shape_functions(ref), corners)
     uh = np.einsum("qi,ei->eq", basis, field.coeffs[space.emap])
     ex = exact(xq[..., 0], xq[..., 1], xq[..., 2])
@@ -213,31 +157,19 @@ def write_vtk(space: SpectralSpace, fields: dict[str, SpectralField], path):
     sampled at the GLL nodes (cell type 12)."""
     r = space.degree
     p = r + 1
-    ne = space.mesh.num_elements
-
-    def loc(i, j, k):
-        return i + p * j + p * p * k
+    # sub-cell origins (i fastest) plus the offsets of the 8 hex corners in VTK order
+    origin = np.arange(p**3).reshape(p, p, p)[:r, :r, :r].ravel()
+    quad = np.array([0, 1, 1 + p, p])
+    cells = space.emap[:, origin[:, None] + np.concatenate([quad, quad + p * p])].reshape(-1, 8).tolist()
+    ncell = len(cells)
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\nsemwave output\nASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {space.ndof} double\n")
-        for c in space.node_coords:
-            fh.write(f"{c[0]:.16g} {c[1]:.16g} {c[2]:.16g}\n")
-        ncell = ne * r**3
+        fh.write("".join(f"{x:.16g} {y:.16g} {z:.16g}\n" for x, y, z in space.node_coords.tolist()))
         fh.write(f"CELLS {ncell} {9 * ncell}\n")
-        for e in range(ne):
-            m = space.emap[e]
-            for k in range(r):
-                for j in range(r):
-                    for i in range(r):
-                        ids = [
-                            m[loc(i, j, k)], m[loc(i + 1, j, k)],
-                            m[loc(i + 1, j + 1, k)], m[loc(i, j + 1, k)],
-                            m[loc(i, j, k + 1)], m[loc(i + 1, j, k + 1)],
-                            m[loc(i + 1, j + 1, k + 1)], m[loc(i, j + 1, k + 1)],
-                        ]
-                        fh.write("8 " + " ".join(str(int(v)) for v in ids) + "\n")
+        fh.write("".join("8 " + " ".join(map(str, ids)) + "\n" for ids in cells))
         fh.write(f"CELL_TYPES {ncell}\n")
         fh.write("\n".join(["12"] * ncell) + "\n")
         fh.write(f"POINT_DATA {space.ndof}\n")

@@ -48,3 +48,16 @@ def perturbed_mesh():
     inner = np.all((v > 1e-12) & (v < box.vertices.max(axis=0) - 1e-12), axis=1)
     v[inner] += np.random.default_rng(7).uniform(-0.12, 0.12, (inner.sum(), 3))
     return HexMesh(v, box.elements, box.boundary)
+
+
+@pytest.fixture(scope="session")
+def graded_mesh():
+    """Axis-aligned 3x2x2 box elements of unequal sizes along every axis."""
+    from semwave.mesh import HexMesh
+
+    box = generate_box_mesh(UNIT_BOX, (3, 2, 2))
+    v = box.vertices.copy()
+    v[:, 0] = 0.5 * v[:, 0] * (1.0 + v[:, 0])
+    v[:, 1] = v[:, 1] ** 2
+    v[:, 2] = np.sqrt(v[:, 2])
+    return HexMesh(v, box.elements, box.boundary)

@@ -322,19 +322,19 @@ def test_non_affine_kernels_match_dense_oracle(perturbed_mesh, r):
 
 def _surface_quadrature_loop(space, tag):
     """Per-face reference for the cached rule, in mesh.boundary order."""
-    from semwave.assembly import element_geometry
-    from semwave.mesh import FACE_TANGENTS
+    from semwave.mesh import FACE_TANGENTS, shape_gradients
     from semwave.space import face_local_nodes
 
-    jac, w1 = element_geometry(space)["jac"], space.rule.weights
+    corners, ref, w1 = space.mesh.corner_coords(), space.local_nodes_ref(), space.rule.weights
     p = space.degree + 1
     dofs, weights = [], []
     for e, f, t in space.mesh.boundary:
         if t != tag:
             continue
         local = face_local_nodes(space.degree, f)
-        ax0, ax1 = FACE_TANGENTS[f]
-        surf = np.linalg.norm(np.cross(jac[e, local][:, :, ax0], jac[e, local][:, :, ax1]), axis=1)
+        dshape = shape_gradients(ref[local])  # (p*p, 8, 3)
+        t0, t1 = (dshape[:, :, a] @ corners[e] for a in FACE_TANGENTS[f])  # in-face columns of J
+        surf = np.linalg.norm(np.cross(t0, t1), axis=1)
         idx = np.arange(p * p)
         dofs.append(space.emap[e, local])
         weights.append(w1[idx % p] * w1[idx // p] * surf)
@@ -352,4 +352,28 @@ def test_surface_quadrature_cache_matches_fresh_build(perturbed_mesh):
         for got in (again, surface_quadrature(fresh, tag), _surface_quadrature_loop(fresh, tag)):
             np.testing.assert_array_equal(got[0], dofs)
             np.testing.assert_array_equal(got[1], w)
+
+
+# -- closed-form element geometry -----------------------------------------
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_closed_form_geometry_matches_inverse(perturbed_mesh, r):
+    """wdet and g6 from the cofactors against det and np.linalg.inv of J."""
+    from semwave.assembly import element_geometry
+    from semwave.mesh import shape_gradients
+
+    space = build_space(perturbed_mesh, r)
+    geom = element_geometry(space)
+    assert "jac" not in geom and "inv" not in geom
+    jac = np.einsum("ecx,qcd->eqxd", perturbed_mesh.corner_coords(), shape_gradients(space.local_nodes_ref()))
+    inv = np.linalg.inv(jac)  # inv[e, q, d, x]
+    wdet = space.tensor_weights() * np.linalg.det(jac)
+    np.testing.assert_allclose(geom["wdet"], wdet, rtol=1e-13, atol=0)
+    sym = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+    g6 = np.stack([wdet * np.einsum("eqx,eqx->eq", inv[:, :, a], inv[:, :, b]) for a, b in sym])
+    np.testing.assert_allclose(geom["g6"], g6, rtol=0, atol=1e-13 * np.abs(g6).max())
+    conv = assemble_convective(space)
+    conv.apply(0, np.zeros(space.ndof))
+    np.testing.assert_allclose(geom["jinvt"], inv.transpose(3, 2, 0, 1), rtol=0, atol=1e-13 * np.abs(inv).max())
 

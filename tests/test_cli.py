@@ -102,6 +102,20 @@ def test_manifest_lists_all_outputs(tmp_path):
     assert manifest["config"]["degree"] == 1
 
 
+def test_solve_manifest_records_metrics(tmp_path):
+    out = tmp_path / "out"
+    cfg = {
+        "version": "1", "rho0": 1.0, "c0": 340.0, "degree": 2,
+        "mesh": {"generator": {"box": [[0, 1], [0, 1], [0, 1]], "div": [2, 1, 1]}},
+        "time": {"dt": 1e-4, "t_final": 1e-3},
+    }
+    assert cli.main(["solve", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+    assert set(metrics) == {"ndof", "nsteps", "setup_wall_s", "march_wall_s"}
+    assert (metrics["ndof"], metrics["nsteps"]) == (45, 10)
+    assert metrics["setup_wall_s"] > 0 and metrics["march_wall_s"] > 0
+
+
 def test_monopole_source_loads():
     problems = []
 

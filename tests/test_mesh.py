@@ -7,6 +7,7 @@ import pytest
 
 from semwave.mesh import (
     CORNER_REF,
+    FACE_CORNERS,
     DegenerateElementError,
     HexMesh,
     MeshError,
@@ -30,6 +31,34 @@ def test_4x4x4_counts():
     mesh = generate_box_mesh(UNIT_BOX, (4, 4, 4))
     assert mesh.num_elements == 64
     assert mesh.vertices.shape == (125, 3)
+
+
+@pytest.mark.parametrize("div", [(1, 1, 1), (3, 2, 4), (1, 3, 2)])
+def test_box_connectivity_matches_loop(div):
+    """Element corners and boundary entries, in order, against index loops."""
+    nx, ny, nz = div
+    mesh = generate_box_mesh(UNIT_BOX, div, {"ymin": "floor"})
+
+    def vid(i, j, k):
+        return (i * (ny + 1) + j) * (nz + 1) + k
+
+    def eid(i, j, k):
+        return (i * ny + j) * nz + k
+
+    elements = [[vid(i + a, j + b, k + c) for c in (0, 1) for b in (0, 1) for a in (0, 1)]
+                for i in range(nx) for j in range(ny) for k in range(nz)]
+    boundary = []
+    for j in range(ny):
+        for k in range(nz):
+            boundary += [(eid(0, j, k), 0, "xmin"), (eid(nx - 1, j, k), 1, "xmax")]
+    for i in range(nx):
+        for k in range(nz):
+            boundary += [(eid(i, 0, k), 2, "floor"), (eid(i, ny - 1, k), 3, "ymax")]
+    for i in range(nx):
+        for j in range(ny):
+            boundary += [(eid(i, j, 0), 4, "zmin"), (eid(i, j, nz - 1), 5, "zmax")]
+    np.testing.assert_array_equal(mesh.elements, elements)
+    assert mesh.boundary == boundary
 
 
 def test_interior_face_not_on_boundary():
@@ -181,6 +210,28 @@ def test_interior_face_tag_rejected():
     boundary = mesh.boundary + [(0, 1, "oops")]  # x+ face of element 0 is interior
     with pytest.raises(MeshError, match="not exterior"):
         HexMesh(mesh.vertices, mesh.elements, boundary)
+
+
+def test_face_shared_by_three_elements_rejected():
+    """Two unit cubes stacked on a third share its top face; every face seen
+    once is tagged, so only the triple face is wrong."""
+    base = generate_box_mesh([(0, 1), (0, 1), (0, 2)], (1, 1, 2))
+    top = base.elements[1]
+    extra_top = base.vertices[top[4:]] + [0.0, 0.0, 1.0]
+    vertices = np.vstack([base.vertices, extra_top])
+    third = np.concatenate([top[:4], len(base.vertices) + np.arange(4)])
+    elements = np.vstack([base.elements, third])
+    keys = [frozenset(el[c]) for el in elements for c in FACE_CORNERS]
+    boundary = [(i // 6, i % 6, "wall") for i, k in enumerate(keys) if keys.count(k) == 1]
+    with pytest.raises(MeshError, match="shared by more than two"):
+        HexMesh(vertices, elements, boundary)
+
+
+def test_boundary_entry_of_missing_element_rejected():
+    mesh = generate_box_mesh(UNIT_BOX, (1, 1, 1))
+    for entry in ((1, 0, "x"), (0, 6, "x"), (-1, 0, "x")):
+        with pytest.raises(MeshError, match="does not exist"):
+            HexMesh(mesh.vertices, mesh.elements, mesh.boundary + [entry])
 
 
 def test_json_roundtrip(tmp_path):

@@ -245,3 +245,21 @@ def test_run_rejects_bad_initial_state(cube2_space_r2):
     for rho0 in (np.full(n, np.nan), np.zeros(n - 1)):
         with pytest.raises(ValueError, match="initial state"):
             run(cube2_space_r2, ops, lambda k: np.zeros(n), cfg, initial=(rho0, np.zeros(n)))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.25])
+def test_run_matches_stepping_without_a_precomputed_diagonal(rng, beta):
+    """run() hands newmark_step the diagonal it computes once; stepping
+    without it gives the same states bit for bit."""
+    mesh = generate_box_mesh(UNIT_BOX, (2, 1, 1))
+    space = build_space(mesh, 2)
+    ops = assemble_operators(space, c0=1.0, rho0=1.0, impedance={"xmin": 2.0, "ymax": 0.5})
+    cfg = NewmarkConfig(dt=1e-3, t_final=2e-2, beta=beta)
+    rho, vel = rng.standard_normal(space.ndof), rng.standard_normal(space.ndof)
+    loads = lambda k: np.full(space.ndof, np.sin(k * cfg.dt))  # noqa: E731
+    final = run(space, ops, loads, cfg, initial=(rho, vel)).final
+    state = WaveState(rho, vel, initial_acceleration(ops, rho, vel, loads(0)), 0.0, 0)
+    for k in range(cfg.num_steps):
+        state = newmark_step(state, ops, loads(k + 1), cfg)
+    for got, want in ((final.rho, state.rho), (final.vel, state.vel), (final.acc, state.acc)):
+        np.testing.assert_array_equal(got, want)

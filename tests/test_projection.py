@@ -234,19 +234,6 @@ def _box_fv_cells(bounds, div):
     ]
 
 
-@pytest.fixture(scope="module")
-def graded_mesh():
-    """Axis-aligned 3x2x2 box elements of unequal sizes along every axis."""
-    from semwave.mesh import HexMesh
-
-    box = generate_box_mesh(UNIT_BOX, (3, 2, 2))
-    v = box.vertices.copy()
-    v[:, 0] = 0.5 * v[:, 0] * (1.0 + v[:, 0])
-    v[:, 1] = v[:, 1] ** 2
-    v[:, 2] = np.sqrt(v[:, 2])
-    return HexMesh(v, box.elements, box.boundary)
-
-
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 @pytest.mark.parametrize("npts", [2, 4])
 def test_clipped_coupling_matches_per_cell_oracle(graded_mesh, degree, npts):

@@ -161,6 +161,18 @@ def test_write_vtk(tmp_path, cube2_space_r2):
     ncell = space.mesh.num_elements * space.degree**3
     assert f"CELLS {ncell} {9 * ncell}" in text
     assert "SCALARS p double 1" in text
+    # sub-cell connectivity against a per-cell loop, VTK hexahedron corner order
+    r, p = space.degree, space.degree + 1
+    cells = []
+    for m in space.emap:
+        for k in range(r):
+            for j in range(r):
+                for i in range(r):
+                    ijk = [(i, j, k), (i + 1, j, k), (i + 1, j + 1, k), (i, j + 1, k),
+                           (i, j, k + 1), (i + 1, j, k + 1), (i + 1, j + 1, k + 1), (i, j + 1, k + 1)]
+                    cells.append("8 " + " ".join(str(m[a + p * b + p * p * c]) for a, b, c in ijk))
+    start = text.index(f"CELLS {ncell} {9 * ncell}") + 1
+    assert text[start : start + ncell] == cells
 
 
 def test_l2_error_overintegrated_sees_interpolation_error(cube2_space_r2):
@@ -178,3 +190,100 @@ def test_l2_error_overintegrated_matches_analytic(cube2_space_r2):
     zero = SpectralField(cube2_space_r2, np.zeros(cube2_space_r2.ndof))
     err = l2_error(cube2_space_r2, zero, lambda x, y, z: np.sin(np.pi * x), points=10)
     assert abs(err - np.sqrt(0.5)) < 1e-10
+
+
+# -- topological numbering ------------------------------------------------
+
+
+def _coordinate_hash_numbering(mesh, r):
+    """Reference numbering: merge local nodes whose coordinates, rounded to a
+    1e-10 h grid, are equal; DOFs in order of first appearance."""
+    from semwave.gll import gll_rule
+    from semwave.mesh import shape_functions
+
+    g = gll_rule(r).nodes
+    p = r + 1
+    ref = np.array([(g[i], g[j], g[k]) for k in range(p) for j in range(p) for i in range(p)])
+    phys = np.einsum("qc,ecx->eqx", shape_functions(ref), mesh.corner_coords())
+    keys = np.round(phys / (1e-10 * mesh.h)).astype(np.int64)
+    seen, coords = {}, []
+    emap = np.empty(keys.shape[:2], dtype=int)
+    for e in range(keys.shape[0]):
+        for q in range(keys.shape[1]):
+            gid = seen.setdefault(tuple(keys[e, q]), len(coords))
+            if gid == len(coords):
+                coords.append(phys[e, q])
+            emap[e, q] = gid
+    return emap, np.array(coords)
+
+
+@pytest.mark.parametrize("which", ["cube2_mesh", "graded_mesh", "perturbed_mesh"])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_topological_numbering_matches_coordinate_hash(request, which, r):
+    mesh = request.getfixturevalue(which)
+    space = build_space(mesh, r)
+    emap, coords = _coordinate_hash_numbering(mesh, r)
+    np.testing.assert_array_equal(space.emap, emap)
+    np.testing.assert_array_equal(space.node_coords, coords)
+    for tag, dofs in space.boundary_dofs.items():
+        faces = [emap[e, face_local_nodes(r, f)] for e, f, t in mesh.boundary if t == tag]
+        np.testing.assert_array_equal(dofs, np.unique(np.concatenate(faces)))
+
+
+def _rotations():
+    """The 24 signed permutation matrices with determinant +1."""
+    import itertools
+
+    out = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((-1, 1), repeat=3):
+            rot = np.zeros((3, 3), dtype=int)
+            rot[range(3), perm] = signs
+            if round(np.linalg.det(rot)) == 1:
+                out.append(rot)
+    return out
+
+
+def _reorient(mesh, seed):
+    """The same mesh with each element's corner list rotated by a random
+    proper symmetry of the reference cube, and its boundary faces renumbered
+    to match.  New reference coordinates xi' relate to the old ones by
+    xi = R xi', so every Jacobian keeps its sign."""
+    from semwave.mesh import CORNER_REF, FACE_AXIS, HexMesh
+
+    corner_of = {tuple(s): c for c, s in enumerate(CORNER_REF.astype(int))}
+    rots = _rotations()
+    choice = np.random.default_rng(seed).integers(len(rots), size=mesh.num_elements)
+    elements = np.empty_like(mesh.elements)
+    for e, rot in enumerate(rots[i] for i in choice):
+        elements[e] = [mesh.elements[e, corner_of[tuple(rot @ s)]] for s in CORNER_REF.astype(int)]
+    boundary = []
+    for e, f, tag in mesh.boundary:
+        axis, sign = FACE_AXIS[f]
+        rot = rots[choice[e]]
+        new_axis = int(np.nonzero(rot[axis])[0][0])  # xi_axis = R[axis, new_axis] xi'_new_axis
+        boundary.append((e, 2 * new_axis + int(sign * rot[axis, new_axis] > 0), tag))
+    return HexMesh(mesh.vertices, elements, boundary)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_reoriented_elements_still_share_dofs(perturbed_mesh, r):
+    from semwave.assembly import apply_stiffness, assemble_mass
+    from semwave.mesh import shape_functions
+
+    mesh = _reorient(perturbed_mesh, seed=r)
+    assert not np.array_equal(mesh.elements, perturbed_mesh.elements)
+    space, original = build_space(mesh, r), build_space(perturbed_mesh, r)
+    assert space.ndof == original.ndof
+    # every copy of a shared DOF sits at the DOF's position
+    phys = np.einsum("qc,ecx->eqx", shape_functions(space.local_nodes_ref()), mesh.corner_coords())
+    np.testing.assert_allclose(space.node_coords[space.emap], phys, rtol=0, atol=1e-14)
+    assert np.abs(apply_stiffness(space, np.ones(space.ndof))).max() < 1e-12
+    # interior vertices moved, boundary fixed: the volume is the box's 1.5,
+    # integrated exactly by GLL from r = 2 on
+    mass = assemble_mass(space).sum()
+    np.testing.assert_allclose(mass, assemble_mass(original).sum(), rtol=1e-13)
+    if r > 1:
+        np.testing.assert_allclose(mass, 1.5, rtol=1e-13)
+    for tag, dofs in original.boundary_dofs.items():
+        assert space.boundary_dofs[tag].size == dofs.size
