@@ -1,6 +1,6 @@
 """Spectral element solver for acoustic and Lighthill aeroacoustic waves."""
 
-from .gll import GllRule, diff_matrix, gll_rule, lagrange_eval
+from .gll import GllRule, diff_matrix, gll_rule
 from .mesh import HexMesh, RefPoint, generate_box_mesh
 from .space import SpectralField, SpectralSpace, build_space, evaluate, interpolate, l2_error
 
@@ -17,5 +17,4 @@ __all__ = [
     "gll_rule",
     "interpolate",
     "l2_error",
-    "lagrange_eval",
 ]

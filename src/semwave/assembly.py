@@ -10,22 +10,13 @@ collocated with the volume DOFs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gll import diff_matrix
-from .mesh import FACE_TANGENTS, map_jacobians, shape_gradients
+from .mesh import FACE_TANGENTS, map_cofactors, shape_gradients
 from .space import SpectralSpace, basis_at, face_local_nodes
-
-
-def _cofactors(space: SpectralSpace) -> tuple[np.ndarray, np.ndarray]:
-    """(cof, det) at every local node: cof[a] = J[:, a+1] x J[:, a+2] (indices
-    mod 3), the rows of det(J) J^-1, shaped (3, 3, ne, nloc); det (ne, nloc)."""
-    jac = map_jacobians(space.mesh.corner_coords(), space.local_nodes_ref())
-    cols = jac.transpose(1, 0, 2, 3)  # cols[d, x] = J[x, d], (3, 3, ne, nloc)
-    cof = np.stack([np.cross(cols[(a + 1) % 3], cols[(a + 2) % 3], axis=0) for a in range(3)])
-    return cof, (cols[0] * cof[0]).sum(axis=0)
 
 
 def element_geometry(space: SpectralSpace) -> dict:
@@ -33,15 +24,15 @@ def element_geometry(space: SpectralSpace) -> dict:
 
     Keys: ``wdet`` (ne,nloc), the 3D GLL weight times det J; ``g6``
     (6,ne,nloc), the xx, yy, zz, xy, xz, yz components of the symmetric
-    stiffness metric wdet J^-1 J^-T, in closed form w (cof_a . cof_b) / det
-    from the cofactors (see _cofactors); and ``dmat``, the 1D
-    differentiation matrix.  ``surface`` is added by the first
-    surface_quadrature call and ``jinvt`` (J^-T, (3,3,ne,nloc)) by the first
-    ConvectiveOperators.apply.
+    stiffness metric wdet J^-1 J^-T, in closed form w (cof_a . cof_b) / det;
+    and ``dmat``, the 1D differentiation matrix.  det and cof come from
+    mesh.map_cofactors, like every volume quantity of the element map.  ``surface`` is
+    added by the first surface_quadrature call and ``jinvt`` (J^-T,
+    (3,3,ne,nloc)) by the first ConvectiveOperators.apply.
     """
     if "wdet" in space._geom:
         return space._geom
-    cof, det = _cofactors(space)
+    cof, det = map_cofactors(space.mesh.corner_coords(), space.local_nodes_ref())
     if np.any(det <= 0):
         raise ValueError("non-positive Jacobian at a quadrature node")
     w = space.tensor_weights()
@@ -102,7 +93,7 @@ class ConvectiveOperators:
         space = self.space
         geom = element_geometry(space)
         if "jinvt" not in geom:
-            cof, det = _cofactors(space)
+            cof, det = map_cofactors(space.mesh.corner_coords(), space.local_nodes_ref())
             geom["jinvt"] = np.swapaxes(cof, 0, 1) / det  # J^-T[l, d] = J^-1[d, l] = cof[d, l] / det
         s = geom["wdet"] * q[space.emap]  # (ne, nloc)
         # [grad phi_i]_l = sum_d J^-T[l,d] Dhat_d phi_i
@@ -182,55 +173,19 @@ def volume_load(space: SpectralSpace, f, t: float, mass: np.ndarray | None = Non
     return mass * vals
 
 
-def neumann_load(space: SpectralSpace, tags, g, t: float, c0: float, points: int | None = None) -> np.ndarray:
+def neumann_load(space: SpectralSpace, tags, g, t: float, c0: float) -> np.ndarray:
     """Boundary load c0^2 * integral of g over tagged faces.
 
-    By default the integral is collocated on the surface GLL rule.  That
-    loses half an order of convergence for smooth inhomogeneous data, so
-    callers chasing optimal rates can over-integrate with a Gauss rule of
-    `points` points per face axis.
+    The one surface integral of the package: collocated on the cached
+    surface GLL rule of surface_quadrature, so it is exact when g times the
+    surface Jacobian is a polynomial of degree <= 2r - 1 in each in-face
+    coordinate.  For smooth inhomogeneous data it loses half an order of
+    convergence against an over-integrated rule.
     """
-    if points is not None:
-        return _neumann_load_gauss(space, tags, g, t, c0, points)
     dofs, w = surface_quadrature(space, tags)
     x = space.node_coords[dofs]
     vals = np.broadcast_to(np.asarray(g(x[:, 0], x[:, 1], x[:, 2], t), dtype=float), dofs.shape)
     return np.bincount(dofs, weights=c0**2 * w * vals, minlength=space.ndof)
-
-
-def _neumann_load_gauss(space: SpectralSpace, tags, g, t: float, c0: float, points: int) -> np.ndarray:
-    from .gll import lagrange_all
-    from .mesh import FACE_AXIS, shape_functions
-
-    tags = _tag_set(space, tags)
-    gx, gw = np.polynomial.legendre.leggauss(points)
-    lv = lagrange_all(space.rule, gx)  # (points, r+1)
-    out = np.zeros(space.ndof)
-    mesh = space.mesh
-    for e, f, tag in mesh.boundary:
-        if tag not in tags:
-            continue
-        fixed, sign = FACE_AXIS[f]
-        ax0, ax1 = FACE_TANGENTS[f]
-        # face quadrature grid in reference coordinates, first axis fastest
-        idx = np.arange(points * points)
-        ia, ib = idx % points, idx // points
-        ref = np.empty((points * points, 3))
-        ref[:, fixed] = float(sign)
-        ref[:, ax0] = gx[ia]
-        ref[:, ax1] = gx[ib]
-        corners = mesh.corner_coords(e)
-        x = shape_functions(ref) @ corners
-        jac = np.einsum("cx,qcd->qxd", corners, shape_gradients(ref))
-        surf = np.linalg.norm(np.cross(jac[:, :, ax0], jac[:, :, ax1]), axis=1)
-        wq = gw[ia] * gw[ib] * surf
-        vals = np.asarray(g(x[:, 0], x[:, 1], x[:, 2], t), dtype=float)
-        vals = np.broadcast_to(vals, wq.shape)
-        # phi restricted to the face: 2D tensor basis of the p^2 face nodes
-        basis2d = (lv[ia][:, None, :] * lv[ib][:, :, None]).reshape(len(idx), -1)
-        local = face_local_nodes(space.degree, f)
-        np.add.at(out, space.emap[e, local], c0**2 * (wq * vals) @ basis2d)
-    return out
 
 
 def point_source_load(space: SpectralSpace, x_source, amplitude: float) -> np.ndarray:
@@ -251,8 +206,6 @@ class AssembledOperators:
     mass: np.ndarray
     damping: np.ndarray
     c0: float
-    rho0: float
-    impedance: dict[str, float] = field(default_factory=dict)
 
     def stiffness(self, u: np.ndarray) -> np.ndarray:
         return apply_stiffness(self.space, u)
@@ -269,4 +222,4 @@ def assemble_operators(
     damping = np.zeros(space.ndof)
     for tag, z in (impedance or {}).items():
         damping += assemble_damping(space, tag, z, rho0, c0)
-    return AssembledOperators(space, mass, damping, c0, rho0, dict(impedance or {}))
+    return AssembledOperators(space, mass, damping, c0)

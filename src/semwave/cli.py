@@ -181,7 +181,7 @@ def run_mms(cfg: dict, out_dir: Path) -> Path:
 # -- solve ----------------------------------------------------------------
 
 
-def _build_loads(cfg: dict, space, ops, nm: NewmarkConfig, problems):
+def _build_loads(cfg: dict, space, nm: NewmarkConfig, problems):
     src = cfg.get("source", {"type": "none"})
     kind = src.get("type", "none")
     if kind == "none":
@@ -201,6 +201,9 @@ def _build_loads(cfg: dict, space, ops, nm: NewmarkConfig, problems):
             problems.append("source(projected): missing 'files' list of load vectors")
             return None
         vecs, bad = [], []
+        stride = src.get("stride", 1)
+        if type(stride) is not int or stride < 1:
+            bad.append(f"source(projected): stride must be a positive integer, got {stride!r}")
         for f in files:
             if not Path(f).is_file():
                 bad.append(f"source(projected): load file {f} does not exist")
@@ -211,23 +214,38 @@ def _build_loads(cfg: dict, space, ops, nm: NewmarkConfig, problems):
         if bad:
             problems.extend(bad)
             return None
-        stride = int(src.get("stride", 1))
         # donor loads held piecewise constant between mappings
         return lambda k: vecs[min(k // stride, len(vecs) - 1)]
     problems.append(f"source: unknown type {kind!r}")
     return None
 
 
-def _initial_from_config(cfg: dict, space, c0: float):
+def _initial_from_config(cfg: dict, space, c0: float, problems):
+    """Initial (rho, velocity) of a gaussian_plane block; each bad entry of
+    the block is one problem, and the result is None when there is one."""
     init = cfg.get("initial")
     if init is None:
         return None
+    if not isinstance(init, dict):
+        problems.append(f"initial: must be an object, got {init!r}")
+        return None
     if init.get("type") != "gaussian_plane":
-        raise ConfigError([f"initial: unknown type {init.get('type')!r}"])
-    axis = int(init["axis"])
-    center = float(init["center"])
-    sigma = float(init["sigma"])
-    direction = float(init.get("direction", 1.0))
+        problems.append(f"initial: unknown type {init.get('type')!r}")
+        return None
+    before = len(problems)
+    _require(init, ("axis", "center", "sigma"), problems, "initial")
+    axis = init.get("axis", 0)
+    if type(axis) is not int or not 0 <= axis <= 2:
+        problems.append(f"initial: axis must be 0, 1 or 2, got {axis!r}")
+    values = {key: init.get(key, 1.0) for key in ("center", "sigma", "direction")}
+    for key, value in values.items():
+        if type(value) not in (int, float) or not np.isfinite(value):
+            problems.append(f"initial: {key} must be a finite number, got {value!r}")
+        elif key == "sigma" and value <= 0:
+            problems.append(f"initial: sigma must be positive, got {value!r}")
+    if len(problems) > before:
+        return None
+    center, sigma, direction = (float(v) for v in values.values())
 
     def pulse(x, y, z):
         s = (x, y, z)[axis]
@@ -263,10 +281,10 @@ def run_solve(cfg: dict, out_dir: Path, run_name: str = "solve", metrics: dict |
 
     space = build_space(mesh, int(cfg["degree"]))
     ops = assemble_operators(space, c0=float(cfg["c0"]), rho0=float(cfg["rho0"]), impedance=impedance)
-    loads = _build_loads(cfg, space, ops, nm, problems)
+    loads = _build_loads(cfg, space, nm, problems)
+    initial = _initial_from_config(cfg, space, ops.c0, problems)
     if problems:
         raise ConfigError(problems)
-    initial = _initial_from_config(cfg, space, ops.c0)
 
     t1 = _time.perf_counter()
     result = run(space, ops, loads, nm, initial=initial, out_dir=out_dir, run_name=run_name)
@@ -472,7 +490,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        np.random.seed(args.seed)
         metrics: dict = {}
         if args.command == "mms":
             outputs = [run_mms(cfg, out_dir)]

@@ -84,8 +84,9 @@ def integrate_surface_force(areas, normals, pressures) -> np.ndarray:
     return (pressures[:, None] * areas[:, None] * normals).sum(axis=0)
 
 
-def psd(series, dt: float, segment_length: int, overlap: float = 0.5):
-    """Welch power spectral density with a Hann window.
+def psd(series, dt: float, segment_length: int):
+    """Welch power spectral density with a Hann window and half-overlapping
+    segments.
 
     Returns (frequencies in Hz, PSD in signal-units^2 / Hz); integrating
     the PSD over frequency recovers the signal variance up to the window
@@ -99,7 +100,7 @@ def psd(series, dt: float, segment_length: int, overlap: float = 0.5):
         fs=1.0 / dt,
         window="hann",
         nperseg=segment_length,
-        noverlap=int(overlap * segment_length),
+        noverlap=segment_length // 2,
         detrend=False,
         scaling="density",
     )

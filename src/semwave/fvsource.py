@@ -194,13 +194,18 @@ def _face_values(mesh: FvMesh, values: np.ndarray) -> np.ndarray:
     return out if values.ndim == 2 else out[:, 0]
 
 
+def _face_fluxes(mesh: FvMesh, u: FvField, rho0: float) -> np.ndarray:
+    """rho0 u_F (u_F . n) |F| on every face, (nf, 3), oriented owner -> neighbor."""
+    uf = _face_values(mesh, u.values)  # (nf, 3)
+    return rho0 * uf * np.einsum("fx,fx->f", uf, mesh.normal)[:, None] * mesh.area[:, None]
+
+
 def lighthill_divergence(mesh: FvMesh, u: FvField, rho0: float) -> FvField:
     """Per-cell div(rho0 u x u) by the Gauss (divergence) theorem with
     mid-point face quadrature."""
     if u.values.ndim != 2 or u.values.shape[1] != 3:
         raise FvError("lighthill_divergence needs a 3-vector velocity field")
-    uf = _face_values(mesh, u.values)  # (nf, 3)
-    flux = rho0 * uf * np.einsum("fx,fx->f", uf, mesh.normal)[:, None] * mesh.area[:, None]
+    flux = _face_fluxes(mesh, u, rho0)
     acc = np.zeros((mesh.num_cells, 3))
     np.add.at(acc, mesh.owner, flux)
     interior = mesh.neighbor >= 0
@@ -210,12 +215,10 @@ def lighthill_divergence(mesh: FvMesh, u: FvField, rho0: float) -> FvField:
 
 def boundary_flux_total(mesh: FvMesh, u: FvField, rho0: float) -> np.ndarray:
     """Sum of rho0 u_F (u_F . n) |F| over boundary faces (conservation check)."""
-    uf = _face_values(mesh, u.values)
-    flux = rho0 * uf * np.einsum("fx,fx->f", uf, mesh.normal)[:, None] * mesh.area[:, None]
-    return flux[mesh.neighbor < 0].sum(axis=0)
+    return _face_fluxes(mesh, u, rho0)[mesh.neighbor < 0].sum(axis=0)
 
 
-def spanwise_average(field: FvField, axis: int, bins: int | None = None) -> FvField:
+def spanwise_average(field: FvField, axis: int) -> FvField:
     """Volume-weighted mean along one axis of an extruded/structured mesh.
 
     Cells are grouped into columns by their in-plane center coordinates;

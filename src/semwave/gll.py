@@ -29,10 +29,6 @@ class GllRule:
     # barycentric weights for stable Lagrange evaluation
     bary: np.ndarray = field(repr=False, default=None)
 
-    @property
-    def npoints(self) -> int:
-        return self.degree + 1
-
 
 def _legendre_vandermonde(x: np.ndarray, n: int) -> np.ndarray:
     """Columns P_0(x)..P_n(x) via the three-term recurrence."""
@@ -87,11 +83,6 @@ def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     diff = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(diff, 1.0)
     return 1.0 / np.prod(diff, axis=1)
-
-
-def lagrange_eval(rule: GllRule, j: int, x: float) -> float:
-    """Value of the j-th cardinal polynomial at x (l_j(x_i) = delta_ij)."""
-    return float(lagrange_all(rule, x)[j])
 
 
 def lagrange_all(rule: GllRule, x) -> np.ndarray:

@@ -7,6 +7,14 @@ Conventions (fixed for file interop):
 * Local faces 0..5 are xi=-1, xi=+1, eta=-1, eta=+1, zeta=-1, zeta=+1.
 * The mesh file is JSON with a mandatory ``"version": "1"`` field and
   ``vertices``, ``elements``, ``boundary`` arrays.
+
+Volume quantities of the element map come from one routine:
+``map_cofactors`` gives det J and the cofactors of J = dx/dref (the rows of
+det(J) J^-1), from ``map_jacobians``.  Volume weights, the stiffness and
+convective metrics, the Gauss element rule, the corner check and
+``HexMesh.jacobian`` all call it.  The surface rule takes the two in-face
+columns of J from ``shape_gradients``; the Newton point inversion solves
+with J directly.
 """
 from __future__ import annotations
 
@@ -82,6 +90,15 @@ def map_jacobians(corners: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return jac.reshape(3, len(corners), 3, len(ref)).transpose(0, 2, 1, 3)
 
 
+def map_cofactors(corners: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cof, det) of the trilinear maps of corners (ne, 8, 3) at ref (nq, 3):
+    cof[a] = J[:, a+1] x J[:, a+2] (indices mod 3) are the rows of det(J) J^-1,
+    shaped (3, 3, ne, nq), and det = J[:, 0] . cof[0] is (ne, nq)."""
+    cols = map_jacobians(corners, ref).transpose(1, 0, 2, 3)  # cols[d, x] = J[x, d]
+    cof = np.stack([np.cross(cols[(a + 1) % 3], cols[(a + 2) % 3], axis=0) for a in range(3)])
+    return cof, (cols[0] * cof[0]).sum(axis=0)
+
+
 def group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Number the distinct rows of an integer array in order of first appearance.
 
@@ -150,7 +167,7 @@ class HexMesh:
         if self.elements.min(initial=0) < 0 or self.elements.max(initial=-1) >= len(self.vertices):
             raise MeshError("element vertex index out of range")
         # positive Jacobian at all corners
-        det = np.linalg.det(map_jacobians(self.corner_coords(), CORNER_REF).transpose(2, 3, 0, 1))  # (ne, 8)
+        det = map_cofactors(self.corner_coords(), CORNER_REF)[1]  # (ne, 8)
         if np.any(det <= 0):
             bad = int(np.argwhere(det <= 0)[0][0])
             raise DegenerateElementError(f"element {bad} has non-positive Jacobian at a corner")
@@ -195,9 +212,9 @@ class HexMesh:
 
     def jacobian(self, p: RefPoint) -> tuple[np.ndarray, float]:
         """(J, det J) of the trilinear map at p, J[x, d] = dx/d(ref_d)."""
-        grad = shape_gradients(p.xi)  # (8, 3)
-        jac = np.einsum("cx,cd->xd", self.corner_coords(p.element), grad)
-        det = float(np.linalg.det(jac))
+        corners, ref = self.corner_coords(p.element)[None], np.reshape(p.xi, (1, 3))
+        jac = map_jacobians(corners, ref)[:, :, 0, 0]
+        det = float(map_cofactors(corners, ref)[1][0, 0])
         if det <= 0:
             raise DegenerateElementError(f"non-positive Jacobian in element {p.element}")
         return jac, det

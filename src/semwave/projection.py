@@ -25,10 +25,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fvsource import FvMesh
-from .gll import lagrange_all, tensor_basis, tensor_rule
-from .mesh import CORNER_REF, RefPoint, map_jacobians
+from .gll import lagrange_all
+from .mesh import CORNER_REF, RefPoint
 from .newmark import pcg
-from .space import SpectralField, SpectralSpace, basis_at
+from .space import SpectralField, SpectralSpace, _gauss_rule, basis_at
 
 
 @dataclass
@@ -48,11 +48,7 @@ class CouplingMatrix:
 def consistent_mass(space: SpectralSpace) -> sp.csr_matrix:
     """Full mass matrix with Gauss-Legendre quadrature (r+1 points per axis,
     exact for the degree-2r integrand), unlike the collocated diagonal M."""
-    gx, gw = np.polynomial.legendre.leggauss(space.degree + 1)
-    ref, w3 = tensor_rule(gx, gw)  # tensor quadrature, xi fastest
-    basis = tensor_basis(lagrange_all(space.rule, gx))  # (nloc, nloc)
-
-    wdet = w3 * np.linalg.det(map_jacobians(space.mesh.corner_coords(), ref).transpose(2, 3, 0, 1))
+    basis, wdet, _ = _gauss_rule(space, space.degree + 1)  # basis (nloc, nloc)
     local = np.einsum("eq,qi,qj->eij", wdet, basis, basis)
     rows = np.repeat(space.emap, space.nloc, axis=1).ravel()
     cols = np.tile(space.emap, (1, space.nloc)).ravel()

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gll import GllRule, gll_rule, lagrange_all, tensor_basis, tensor_rule
-from .mesh import CORNER_REF, FACE_AXIS, HexMesh, RefPoint, group_rows, map_jacobians, shape_functions
+from .mesh import CORNER_REF, FACE_AXIS, HexMesh, RefPoint, group_rows, map_cofactors, shape_functions
 
 
 @dataclass
@@ -114,40 +114,45 @@ def basis_at(space: SpectralSpace, p: RefPoint) -> np.ndarray:
     return np.einsum("i,j,k->kji", lx, ly, lz).ravel()
 
 
-def evaluate(space: SpectralSpace, field: SpectralField, x, ref: RefPoint | None = None) -> float:
-    """Point evaluation; pass a pre-located RefPoint to skip point location."""
+def evaluate(space: SpectralSpace, field: SpectralField, x) -> float:
+    """Value of field at the physical point x."""
+    ref = space.mesh.locate_point(x)
     if ref is None:
-        ref = space.mesh.locate_point(x)
-        if ref is None:
-            raise ValueError(f"point {x} is outside the mesh")
+        raise ValueError(f"point {x} is outside the mesh")
     vals = basis_at(space, ref)
     return float(vals @ field.coeffs[space.emap[ref.element]])
+
+
+def _gauss_rule(space: SpectralSpace, points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tensor Gauss-Legendre rule of `points` points per axis on every element:
+    (basis (points^3, nloc), wdet (ne, points^3) = weight times det J,
+    physical points (ne, points^3, 3)), point ordering xi fastest."""
+    gx, gw = np.polynomial.legendre.leggauss(points)
+    ref, w3 = tensor_rule(gx, gw)
+    corners = space.mesh.corner_coords()
+    xq = np.einsum("qc,ecx->eqx", shape_functions(ref), corners)
+    return tensor_basis(lagrange_all(space.rule, gx)), w3 * map_cofactors(corners, ref)[1], xq
 
 
 def l2_error(space: SpectralSpace, field: SpectralField, exact, points: int | None = None) -> float:
     """L2 norm of (field - exact) over the mesh.
 
     By default the integral is evaluated with the space's own GLL rule
-    (collocation: the discrete nodal norm).  Passing ``points`` switches
-    to a tensor Gauss-Legendre rule with that many points per axis,
-    which measures the true interpolation error between nodes as well.
+    (collocation: the discrete nodal norm), weighted by the cached wdet of
+    element_geometry.  Passing ``points`` switches to the tensor Gauss rule
+    of _gauss_rule, with that many points per axis, which measures
+    the true interpolation error between nodes as well.  Both take det J
+    from mesh.map_cofactors.
     """
     if points is None:
         from .assembly import element_geometry
 
         wdet = element_geometry(space)["wdet"]  # (ne, nloc)
-        nodal = field.coeffs[space.emap]  # (ne, nloc)
+        uh = field.coeffs[space.emap]  # (ne, nloc)
         xq = space.node_coords[space.emap]  # (ne, nloc, 3)
-        ex = exact(xq[..., 0], xq[..., 1], xq[..., 2])
-        return float(np.sqrt(np.sum(wdet * (nodal - ex) ** 2)))
-
-    gx, gw = np.polynomial.legendre.leggauss(points)
-    ref, w3 = tensor_rule(gx, gw)
-    basis = tensor_basis(lagrange_all(space.rule, gx))  # (points^3, nloc)
-    corners = space.mesh.corner_coords()
-    wdet = w3 * np.linalg.det(map_jacobians(corners, ref).transpose(2, 3, 0, 1))
-    xq = np.einsum("qc,ecx->eqx", shape_functions(ref), corners)
-    uh = np.einsum("qi,ei->eq", basis, field.coeffs[space.emap])
+    else:
+        basis, wdet, xq = _gauss_rule(space, points)
+        uh = field.coeffs[space.emap] @ basis.T
     ex = exact(xq[..., 0], xq[..., 1], xq[..., 2])
     return float(np.sqrt(np.sum(wdet * (uh - ex) ** 2)))
 

@@ -17,6 +17,7 @@ from semwave.assembly import (
     surface_quadrature,
     volume_load,
 )
+from semwave.mesh import FACE_CORNERS
 
 UNIT_BOX = [(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
 
@@ -211,16 +212,35 @@ def test_neumann_constant_face_integral(cube2_space_r2):
     assert abs(load.sum() - 4.0) < 1e-12  # c0^2 * area
 
 
-def test_neumann_gauss_matches_collocated_for_polynomials():
-    """The optional over-integrated path agrees with the GLL-collocated
-    path whenever both rules are exact for the integrand."""
-    mesh = generate_box_mesh([(0.2, 1.3), (0.0, 0.9), (-0.1, 1.0)], (2, 2, 2))
-    space = build_space(mesh, 2)
-    g = lambda x, y, z, t: 1.3 * x + 0.7 * y + 2.0 * z - 0.4  # noqa: E731
-    for tag in sorted(space.mesh.tags):
-        a = neumann_load(space, tag, g, 0.0, c0=1.0)
-        b = neumann_load(space, tag, g, 0.0, c0=1.0, points=6)
-        np.testing.assert_allclose(a, b, atol=1e-13)
+def _face_monomial(lo, hi, powers):
+    """Closed-form integral of x^p0 y^p1 z^p2 over the axis-aligned face
+    [lo, hi], whose extent is zero along its normal axis."""
+    out = 1.0
+    for a, b, k in zip(lo, hi, powers):
+        out *= (b ** (k + 1) - a ** (k + 1)) / (k + 1) if b > a else a**k
+    return out
+
+
+def test_neumann_collocated_closed_form_on_graded_faces(graded_mesh):
+    """On every tagged face of the graded box, for linear g: load.sum() is
+    c0^2 times the integral of g, and load @ x_i that of g x_i.  The faces
+    are axis-aligned rectangles, so the r = 2 GLL rule is exact for these
+    quadratic integrands."""
+    space = build_space(graded_mesh, 2)
+    a, b, c0 = 0.4, np.array([1.3, 0.7, 2.0]), 1.7
+    g = lambda x, y, z, t: a + b[0] * x + b[1] * y + b[2] * z  # noqa: E731
+    unit = np.eye(3, dtype=int)
+    elem, face, tag = graded_mesh.boundary_arrays()
+    for name in sorted(graded_mesh.tags):
+        load = neumann_load(space, name, g, 0.0, c0=c0)
+        total, moment = 0.0, np.zeros(3)
+        for e, f in zip(elem[tag == name], face[tag == name]):
+            corners = graded_mesh.corner_coords(e)[FACE_CORNERS[f]]
+            m = lambda p: _face_monomial(corners.min(axis=0), corners.max(axis=0), p)  # noqa: E731
+            total += a * m((0, 0, 0)) + sum(b[j] * m(unit[j]) for j in range(3))
+            moment += [a * m(unit[i]) + sum(b[j] * m(unit[i] + unit[j]) for j in range(3)) for i in range(3)]
+        assert abs(load.sum() - c0**2 * total) < 1e-13 * c0**2 * abs(total)
+        np.testing.assert_allclose(load @ space.node_coords, c0**2 * moment, rtol=1e-13, atol=1e-14)
 
 
 def test_neumann_multiple_tags(cube2_space_r2):

@@ -124,7 +124,7 @@ def test_monopole_source_loads():
 
     # point_source_load needs a real space: use the loads builder contract
     # only for the zero-source path here
-    loads = cli._build_loads({"source": {"type": "none"}}, _Space(), None, None, problems)
+    loads = cli._build_loads({"source": {"type": "none"}}, _Space(), None, problems)
     assert not problems
     assert np.max(np.abs(loads(7))) == 0.0
 
@@ -138,7 +138,7 @@ def test_projected_source_stride(tmp_path):
     problems = []
     loads = cli._build_loads(
         {"source": {"type": "projected", "files": vecs, "stride": 4}},
-        type("S", (), {"ndof": 5})(), None, None, problems,
+        type("S", (), {"ndof": 5})(), None, problems,
     )
     assert not problems
     # piecewise constant between mappings, clamped at the end
@@ -170,9 +170,65 @@ def test_projected_source_wrong_length_is_config_error(tmp_path, capsys):
     assert "absent.npy" in problems[2] and "does not exist" in problems[2]
 
 
+_SOLVE_1X1 = {
+    "version": "1", "rho0": 1.0, "c0": 1.0, "degree": 1,
+    "mesh": {"generator": {"box": [[0, 1], [0, 1], [0, 1]], "div": [1, 1, 1]}},
+    "time": {"dt": 0.01, "t_final": 0.02},
+}
+
+
+def _solve_problems(tmp_path, capsys, **extra):
+    """Run `solve` on a one-element cube plus extra config keys; the JSON
+    problem list of the expected configuration error."""
+    path = _write_config(tmp_path, {**_SOLVE_1X1, **extra})
+    code = cli.main(["solve", "--config", path, "--out", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and err["error"] == "configuration"
+    return err["problems"]
+
+
+@pytest.mark.parametrize("stride", [0, -1, 1.5, "2", True])
+def test_projected_source_bad_stride_is_config_error(tmp_path, capsys, stride):
+    files = []
+    for i in range(2):
+        files.append(str(tmp_path / f"load{i}.npy"))
+        np.save(files[-1], np.zeros(8))
+    problems = _solve_problems(tmp_path, capsys, source={"type": "projected", "files": files, "stride": stride})
+    assert len(problems) == 1
+    assert "stride must be a positive integer" in problems[0] and repr(stride) in problems[0]
+
+
+def test_bad_stride_listed_with_bad_load_files(tmp_path, capsys):
+    np.save(tmp_path / "short.npy", np.zeros(3))
+    problems = _solve_problems(tmp_path, capsys, source={
+        "type": "projected", "files": [str(tmp_path / "short.npy")], "stride": 0})
+    assert len(problems) == 2
+    assert "stride" in problems[0] and "short.npy" in problems[1]
+
+
+@pytest.mark.parametrize("initial, expected", [
+    ({"type": "gaussian_plane"}, ["missing required key 'axis'", "'center'", "'sigma'"]),
+    ({"type": "gaussian_plane", "axis": 5, "center": 0.5, "sigma": 0.1}, ["axis must be 0, 1 or 2, got 5"]),
+    ({"type": "gaussian_plane", "axis": 0, "center": "mid", "sigma": 0.0},
+     ["center must be a finite number, got 'mid'", "sigma must be positive, got 0.0"]),
+    ({"type": "ring"}, ["unknown type 'ring'"]),
+    (5, ["must be an object, got 5"]),
+])
+def test_bad_initial_block_is_config_error(tmp_path, capsys, initial, expected):
+    problems = _solve_problems(tmp_path, capsys, initial=initial)
+    assert len(problems) == len(expected)
+    for problem, text in zip(problems, expected):
+        assert problem.startswith("initial") and text in problem
+
+
+def test_initial_problems_join_source_problems(tmp_path, capsys):
+    problems = _solve_problems(tmp_path, capsys, source={"type": "magic"}, initial={"type": "ring"})
+    assert problems == ["source: unknown type 'magic'", "initial: unknown type 'ring'"]
+
+
 def test_unknown_source_type():
     problems = []
-    out = cli._build_loads({"source": {"type": "magic"}}, type("S", (), {"ndof": 1})(), None, None, problems)
+    out = cli._build_loads({"source": {"type": "magic"}}, type("S", (), {"ndof": 1})(), None, problems)
     assert out is None and problems
 
 
@@ -363,10 +419,12 @@ def test_newmark_from_config_defaults():
 
 
 def test_gaussian_plane_initial(cube2_space_r2):
+    problems = []
     init = cli._initial_from_config(
         {"initial": {"type": "gaussian_plane", "axis": 0, "center": 0.5, "sigma": 0.1}},
-        cube2_space_r2, c0=2.0,
+        cube2_space_r2, 2.0, problems,
     )
+    assert not problems
     rho, vel = init
     peak = np.argmax(rho)
     assert abs(cube2_space_r2.node_coords[peak, 0] - 0.5) < 0.3

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semwave.gll import MAX_DEGREE, diff_matrix, gll_rule, lagrange_all, lagrange_eval
+from semwave.gll import MAX_DEGREE, diff_matrix, gll_rule, lagrange_all
 
 
 def test_r1_is_endpoint_rule():
@@ -64,13 +64,13 @@ def test_degree_out_of_range():
 
 def test_cardinal_property():
     rule = gll_rule(2)
-    assert lagrange_eval(rule, 1, 0.0) == 1.0
-    assert lagrange_eval(rule, 0, 1.0) == 0.0
+    assert lagrange_all(rule, 0.0)[1] == 1.0
+    assert lagrange_all(rule, 1.0)[0] == 0.0
 
 
 def test_l1_at_half():
     # l1(x) = 1 - x^2 for nodes {-1, 0, 1}
-    assert abs(lagrange_eval(gll_rule(2), 1, 0.5) - 0.75) < 1e-14
+    assert abs(lagrange_all(gll_rule(2), 0.5)[1] - 0.75) < 1e-14
 
 
 def test_lagrange_all_partition_of_unity():

@@ -13,6 +13,7 @@ from semwave.mesh import (
     MeshError,
     RefPoint,
     generate_box_mesh,
+    map_cofactors,
     shape_functions,
     shape_gradients,
 )
@@ -179,6 +180,29 @@ def test_inverted_element_rejected():
     elements[0, [0, 1]] = elements[0, [1, 0]]  # swap two corners
     with pytest.raises(DegenerateElementError):
         HexMesh(mesh.vertices, elements, mesh.boundary)
+
+
+def test_collapsed_element_rejected():
+    mesh = generate_box_mesh(UNIT_BOX, (1, 1, 1))
+    verts = mesh.vertices.copy()
+    verts[mesh.elements[0, 7]] = verts[mesh.elements[0, 6]]  # corner 7 onto corner 6: zero edge
+    with pytest.raises(DegenerateElementError):
+        HexMesh(verts, mesh.elements, mesh.boundary)
+
+
+@pytest.mark.parametrize("rule", ["gll", "gauss"])
+def test_map_cofactors_match_det_and_inverse(perturbed_mesh, rule):
+    """det and cofactors against np.linalg.det / np.linalg.inv of J."""
+    from semwave.gll import gll_rule, tensor_rule
+
+    x = gll_rule(4).nodes if rule == "gll" else np.polynomial.legendre.leggauss(5)[0]
+    ref = tensor_rule(x, np.ones_like(x))[0]
+    corners = perturbed_mesh.corner_coords()
+    cof, det = map_cofactors(corners, ref)
+    jac = np.einsum("ecx,qcd->eqxd", corners, shape_gradients(ref))  # (ne, nq, 3, 3)
+    np.testing.assert_allclose(det, np.linalg.det(jac), rtol=1e-13, atol=0)
+    inv = np.linalg.inv(jac)  # inv[e, q, d, x]
+    np.testing.assert_allclose(cof / det, inv.transpose(2, 3, 0, 1), rtol=0, atol=1e-13 * np.abs(inv).max())
 
 
 def test_untagged_exterior_face_rejected():
