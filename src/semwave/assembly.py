@@ -16,7 +16,7 @@ import numpy as np
 
 from .gll import diff_matrix
 from .mesh import FACE_TANGENTS, map_cofactors, shape_gradients
-from .space import SpectralSpace, basis_at, face_local_nodes
+from .space import SpectralSpace, basis_rows, face_local_nodes
 
 
 def element_geometry(space: SpectralSpace) -> dict:
@@ -190,12 +190,10 @@ def neumann_load(space: SpectralSpace, tags, g, t: float, c0: float) -> np.ndarr
 
 def point_source_load(space: SpectralSpace, x_source, amplitude: float) -> np.ndarray:
     """Consistent Dirac load: load_i = phi_i(x_S) * amplitude."""
-    ref = space.mesh.locate_point(x_source)
-    if ref is None:
+    elem, xi = space.mesh.locate_points(np.asarray(x_source, dtype=float)[None])
+    if elem[0] < 0:
         raise ValueError(f"point source {x_source} lies outside the mesh")
-    out = np.zeros(space.ndof)
-    np.add.at(out, space.emap[ref.element], basis_at(space, ref) * amplitude)
-    return out
+    return np.bincount(space.emap[elem[0]], weights=basis_rows(space, xi)[0] * amplitude, minlength=space.ndof)
 
 
 @dataclass

@@ -83,7 +83,7 @@ def _newmark_from_config(cfg: dict, problems) -> NewmarkConfig | None:
             cg_tol=float(tc.get("cg_tol", 1e-10)),
             cg_maxiter=int(tc.get("cg_maxiter", 1000)),
             snapshot_stride=int(cfg.get("snapshot_stride", 0)),
-            probes={k: tuple(v) for k, v in cfg.get("probes", {}).items()},
+            probes=cfg.get("probes", {}),
         )
     except ValueError as exc:
         problems.append(f"time: {exc}")
@@ -128,14 +128,13 @@ def mms_single(divisions: int, degree: int, cfg: NewmarkConfig, points: int | No
     mesh = generate_box_mesh([(0, 1), (0, 1), (0, 1)], (divisions,) * 3)
     space = build_space(mesh, degree)
     ops = assemble_operators(space, c0=1.0, rho0=1.0)
-    neumann_fns = {tag: manufactured.neumann(n) for tag, n in BOX_NORMALS.items()}
+    load = volume_load(space, manufactured.forcing, 0.5, mass=ops.mass)
+    for tag, n in BOX_NORMALS.items():
+        load += neumann_load(space, tag, manufactured.neumann(n), 0.5, c0=1.0)
 
     def loads(k):
-        t = k * cfg.dt
-        out = volume_load(space, manufactured.forcing, t, mass=ops.mass)
-        for tag, g in neumann_fns.items():
-            out += neumann_load(space, tag, g, t, c0=1.0)
-        return out
+        # forcing and Neumann data are sin(pi t) F(x), and load is F's: built at t = 1/2, where sin = 1 exactly
+        return np.sin(np.pi * k * cfg.dt) * load
 
     rho0 = np.zeros(space.ndof)
     # the manufactured solution starts at u=0 but with nonzero velocity
@@ -183,6 +182,9 @@ def run_mms(cfg: dict, out_dir: Path) -> Path:
 
 def _build_loads(cfg: dict, space, nm: NewmarkConfig, problems):
     src = cfg.get("source", {"type": "none"})
+    if not isinstance(src, dict):
+        problems.append(f"source: must be an object, got {src!r}")
+        return None
     kind = src.get("type", "none")
     if kind == "none":
         zero = np.zeros(space.ndof)
@@ -191,6 +193,8 @@ def _build_loads(cfg: dict, space, nm: NewmarkConfig, problems):
         missing = [k for k in ("position", "frequency") if k not in src]
         if missing:
             problems.append(f"source(monopole): missing {missing}")
+            return None
+        if problems:  # the run stops here; a position _check_points rejected would raise below
             return None
         unit = point_source_load(space, src["position"], 1.0)
         f0 = float(src["frequency"])
@@ -218,6 +222,47 @@ def _build_loads(cfg: dict, space, nm: NewmarkConfig, problems):
         return lambda k: vecs[min(k // stride, len(vecs) - 1)]
     problems.append(f"source: unknown type {kind!r}")
     return None
+
+
+def _impedance_from_config(cfg: dict, mesh: HexMesh, problems) -> dict[str, float]:
+    """Wall tag -> impedance Z; an unknown tag, or a Z that is not a positive
+    finite number, is one problem each and is left out."""
+    imp = cfg.get("impedance", {})
+    if not isinstance(imp, dict):
+        problems.append(f"impedance: must be an object, got {imp!r}")
+        return {}
+    unknown = sorted(set(imp) - mesh.tags)
+    if unknown:
+        problems.append(f"impedance tags {unknown} not present in mesh (has {sorted(mesh.tags)})")
+    good = {}
+    for tag, z in imp.items():
+        if type(z) not in (int, float) or not 0 < z < np.inf:
+            problems.append(f"impedance: {tag} must be a positive finite number, got {z!r}")
+        elif tag in mesh.tags:
+            good[tag] = float(z)
+    return good
+
+
+def _check_points(cfg: dict, mesh: HexMesh, problems):
+    """Each probe, and the position of a monopole source, must be 3 finite
+    numbers inside the mesh: one problem per point that is not, the inside
+    test made by one locate_points call."""
+    probes = cfg.get("probes", {})
+    if not isinstance(probes, dict):
+        problems.append(f"probes: must be an object, got {probes!r}")
+        probes = {}
+    points = [(f"probe {name!r}", x) for name, x in probes.items()]
+    src = cfg.get("source")
+    if isinstance(src, dict) and src.get("type") == "monopole" and "position" in src:
+        points.append(("source(monopole): position", src["position"]))
+    numeric = []
+    for where, x in points:
+        if isinstance(x, (list, tuple)) and len(x) == 3 and all(type(c) in (int, float) and np.isfinite(c) for c in x):
+            numeric.append((where, x))
+        else:
+            problems.append(f"{where} must be 3 finite numbers, got {x!r}")
+    elem, _ = mesh.locate_points(np.array([x for _, x in numeric], dtype=float).reshape(-1, 3))
+    problems.extend(f"{where} at {x} is outside the mesh" for (where, x), e in zip(numeric, elem) if e < 0)
 
 
 def _initial_from_config(cfg: dict, space, c0: float, problems):
@@ -274,11 +319,8 @@ def run_solve(cfg: dict, out_dir: Path, run_name: str = "solve", metrics: dict |
     if problems:
         raise ConfigError(problems)
 
-    impedance = {tag: float(z) for tag, z in cfg.get("impedance", {}).items()}
-    unknown = set(impedance) - mesh.tags
-    if unknown:
-        raise ConfigError([f"impedance tags {sorted(unknown)} not present in mesh (has {sorted(mesh.tags)})"])
-
+    impedance = _impedance_from_config(cfg, mesh, problems)
+    _check_points(cfg, mesh, problems)
     space = build_space(mesh, int(cfg["degree"]))
     ops = assemble_operators(space, c0=float(cfg["c0"]), rho0=float(cfg["rho0"]), impedance=impedance)
     loads = _build_loads(cfg, space, nm, problems)

@@ -15,6 +15,10 @@ convective metrics, the Gauss element rule, the corner check and
 ``HexMesh.jacobian`` all call it.  The surface rule takes the two in-face
 columns of J from ``shape_gradients``; the Newton point inversion solves
 with J directly.
+
+Point location has one path, ``HexMesh.locate_points``, for probes, point
+sources, evaluation and the sampled FV coupling.  A tie on a shared face goes
+to the previous point's element if it holds the point, else to the lowest index.
 """
 from __future__ import annotations
 
@@ -225,38 +229,44 @@ class HexMesh:
             self._bboxes = np.stack([corners.min(axis=1), corners.max(axis=1)])
         return self._bboxes
 
-    def locate_point(self, x, tol: float = 1e-12, maxiter: int = 50) -> RefPoint | None:
-        """Find the element containing x and its reference coordinates.
+    def locate_point(self, x) -> RefPoint | None:
+        """locate_points for the one point x: a RefPoint, ties to the lowest element, or None outside."""
+        elem, xi = self.locate_points(np.asarray(x, dtype=float)[None])
+        return None if elem[0] < 0 else RefPoint(int(elem[0]), xi[0])
 
-        Coarse phase: axis-aligned bounding boxes.  Fine phase: Newton
-        inversion of the trilinear map.  Ties on shared faces go to the
-        lowest element index.  Returns None when x is outside the mesh.
-        """
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.element_bboxes()
+    def locate_points(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """(elem (n,), xi (n, 3) in [-1, 1]^3) of the finite (n, 3) points X, else ValueError:
+        the first element holding each point by Newton inversion, of the previous point's,
+        then its bounding-box candidates in index order; elem -1 and xi NaN outside."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != 3 or not np.all(np.isfinite(X)):
+            raise ValueError(f"points must be a finite (n, 3) array, got shape {X.shape}")
+        if not len(X):  # nothing to place: skip h and the bounding boxes, O(ne) each
+            return np.empty(0, dtype=int), np.empty((0, 3))
         pad = 1e-9 * self.h
-        cand = np.nonzero(np.all((x >= lo - pad) & (x <= hi + pad), axis=1))[0]
-        slack = 1e-10
-        for e in cand:
-            xi = self._invert_map(int(e), x, tol, maxiter)
-            if xi is not None and np.all(np.abs(xi) <= 1.0 + slack):
-                return RefPoint(int(e), np.clip(xi, -1.0, 1.0))
-        return None
+        lo, hi = self.element_bboxes() + np.array([-pad, pad])[:, None, None]
+        elem, xi, prev = np.full(len(X), -1), np.full(X.shape, np.nan), -1
+        for n, x in enumerate(X):
+            cand = np.nonzero(np.all((x >= lo) & (x <= hi), axis=1))[0].tolist()
+            for e in [prev] * (prev >= 0) + cand:
+                ref = self._invert_map(e, x)
+                if ref is not None and np.all(np.abs(ref) <= 1.0 + 1e-10):
+                    elem[n], xi[n], prev = e, np.clip(ref, -1.0, 1.0), e
+                    break
+        return elem, xi
 
-    def _invert_map(self, e: int, x: np.ndarray, tol: float, maxiter: int) -> np.ndarray | None:
+    def _invert_map(self, e: int, x: np.ndarray) -> np.ndarray | None:
         corners = self.corner_coords(e)
         xi = np.zeros(3)
-        scale = max(self.h, 1e-30)
-        for _ in range(maxiter):
+        for _ in range(50):
             res = shape_functions(xi) @ corners - x
-            if np.linalg.norm(res) < tol * scale:
+            if np.linalg.norm(res) < 1e-12 * max(self.h, 1e-30):
                 return xi
             jac = np.einsum("cx,cd->xd", corners, shape_gradients(xi))
             try:
-                step = np.linalg.solve(jac, res)
+                xi = xi - np.linalg.solve(jac, res)
             except np.linalg.LinAlgError:
                 return None
-            xi = xi - step
             if np.max(np.abs(xi)) > 3.0:  # diverging: x not in this element
                 return None
         return None

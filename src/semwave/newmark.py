@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import AssembledOperators
-from .space import SpectralField, basis_at, write_vtk
+from .space import SpectralField, basis_rows, write_vtk
 
 
 class SolverError(Exception):
@@ -159,14 +159,11 @@ def run(
 
     # each probe reads its element's DOFs weighted by the basis at its point
     names = list(cfg.probes)
-    probe_dofs = np.empty((len(names), space.nloc), dtype=int)
-    probe_basis = np.empty((len(names), space.nloc))
-    for c, (name, x) in enumerate(cfg.probes.items()):
-        ref = space.mesh.locate_point(np.asarray(x, dtype=float))
-        if ref is None:
-            raise ValueError(f"probe {name!r} at {x} is outside the mesh")
-        probe_dofs[c] = space.emap[ref.element]
-        probe_basis[c] = basis_at(space, ref)
+    elem, xi = space.mesh.locate_points(np.asarray(list(cfg.probes.values()) or np.empty((0, 3)), dtype=float))
+    if np.any(elem < 0):
+        name = names[int(np.argmax(elem < 0))]
+        raise ValueError(f"probe {name!r} at {cfg.probes[name]} is outside the mesh")
+    probe_dofs, probe_basis = space.emap[elem], basis_rows(space, xi)
 
     nsteps = cfg.num_steps
     times = np.empty(nsteps + 1)

@@ -14,8 +14,9 @@ Other cells, and every cell when the elements are not aligned boxes, are
 sampled instead: each FV cell is decomposed into one pyramid per face
 (apex at the cell center, base the face rebuilt as an equal-area square
 around its midpoint) and a tensor Gauss rule is mapped onto each pyramid
-by the Duffy transform.  Samples or cell parts falling outside the
-acoustic mesh contribute zero, so partial overlaps are handled naturally.
+by the Duffy transform; one ``HexMesh.locate_points`` call places all their
+samples.  Samples or cell parts outside the acoustic mesh contribute zero,
+so partial overlaps are handled naturally.
 """
 from __future__ import annotations
 
@@ -26,9 +27,9 @@ import scipy.sparse as sp
 
 from .fvsource import FvMesh
 from .gll import lagrange_all
-from .mesh import CORNER_REF, RefPoint
+from .mesh import CORNER_REF
 from .newmark import pcg
-from .space import SpectralField, SpectralSpace, _gauss_rule, basis_at
+from .space import SpectralField, SpectralSpace, _gauss_rule, basis_rows
 
 
 @dataclass
@@ -160,8 +161,7 @@ def assemble_coupling(space: SpectralSpace, fvmesh: FvMesh, points_per_axis: int
     gx, gw = np.polynomial.legendre.leggauss(points_per_axis)
     inc_cell, inc_face, start = fvmesh.cell_faces()
     clo, chi, is_box = _cell_boxes(fvmesh, inc_cell, inc_face)
-    mesh = space.mesh
-    if not _elements_aligned(mesh):
+    if not _elements_aligned(space.mesh):
         is_box[:] = False
     rows, cols, vals = [], [], []
     hit = np.zeros(fvmesh.num_cells, dtype=bool)
@@ -170,27 +170,18 @@ def assemble_coupling(space: SpectralSpace, fvmesh: FvMesh, points_per_axis: int
         rows.append(space.emap[e].ravel())
         cols.append(np.repeat(c, space.nloc))
         vals.append(v.ravel())
+    sampled = np.nonzero(~is_box)[0]
     outside = 0
-    last_elem = None
-    for cell in np.nonzero(~is_box)[0]:
-        faces = inc_face[start[cell]:start[cell + 1]].tolist()
-        pts, wts = _cell_samples(fvmesh, cell, faces, gx, gw)
-        for x, w in zip(pts, wts):
-            ref = None
-            if last_elem is not None:
-                xi = mesh._invert_map(last_elem, x, 1e-12, 50)
-                if xi is not None and np.all(np.abs(xi) <= 1.0 + 1e-10):
-                    ref = RefPoint(last_elem, np.clip(xi, -1.0, 1.0))
-            if ref is None:
-                ref = mesh.locate_point(x)
-            if ref is None:
-                outside += 1
-                continue
-            last_elem = ref.element
-            hit[cell] = True
-            rows.append(space.emap[ref.element])
-            cols.append(np.full(space.nloc, cell))
-            vals.append(w * basis_at(space, ref))
+    if sampled.size:
+        pts, wts = zip(*(_cell_samples(fvmesh, c, inc_face[start[c]:start[c + 1]].tolist(), gx, gw) for c in sampled))
+        cell = np.repeat(sampled, [w.size for w in wts])
+        elem, xi = space.mesh.locate_points(np.concatenate(pts))
+        inside = elem >= 0
+        outside = int(inside.size - inside.sum())
+        hit[cell[inside]] = True
+        rows.append(space.emap[elem[inside]].ravel())
+        cols.append(np.repeat(cell[inside], space.nloc))
+        vals.append((np.concatenate(wts)[inside, None] * basis_rows(space, xi[inside])).ravel())
     if rows:
         m = sp.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),

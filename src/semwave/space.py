@@ -106,21 +106,24 @@ def interpolate(space: SpectralSpace, g) -> SpectralField:
     return SpectralField(space, vals)
 
 
+def basis_rows(space: SpectralSpace, xi: np.ndarray) -> np.ndarray:
+    """Values of the nloc element-local basis functions at reference points
+    xi (n, 3), shape (n, nloc): one lagrange_all call for every point and axis."""
+    lv = lagrange_all(space.rule, xi)  # (n, 3, r+1)
+    return np.einsum("ni,nj,nk->nkji", lv[:, 0], lv[:, 1], lv[:, 2]).reshape(len(xi), space.nloc)
+
+
 def basis_at(space: SpectralSpace, p: RefPoint) -> np.ndarray:
     """Values of the nloc element-local basis functions at a reference point."""
-    lx = lagrange_all(space.rule, p.xi[0])
-    ly = lagrange_all(space.rule, p.xi[1])
-    lz = lagrange_all(space.rule, p.xi[2])
-    return np.einsum("i,j,k->kji", lx, ly, lz).ravel()
+    return basis_rows(space, np.reshape(p.xi, (1, 3)))[0]
 
 
 def evaluate(space: SpectralSpace, field: SpectralField, x) -> float:
     """Value of field at the physical point x."""
-    ref = space.mesh.locate_point(x)
-    if ref is None:
+    elem, xi = space.mesh.locate_points(np.asarray(x, dtype=float)[None])
+    if elem[0] < 0:
         raise ValueError(f"point {x} is outside the mesh")
-    vals = basis_at(space, ref)
-    return float(vals @ field.coeffs[space.emap[ref.element]])
+    return float(basis_rows(space, xi)[0] @ field.coeffs[space.emap[elem[0]]])
 
 
 def _gauss_rule(space: SpectralSpace, points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

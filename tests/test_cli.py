@@ -50,15 +50,17 @@ def test_all_problems_reported_at_once(tmp_path, capsys):
 
 
 def test_runtime_error_exit_code(tmp_path, capsys):
+    """A solver failure mid-run (CG capped at one iteration) exits 1 with its message."""
     cfg = {
         "version": "1", "rho0": 1.0, "c0": 1.0, "degree": 1,
         "mesh": {"generator": {"box": [[0, 1], [0, 1], [0, 1]], "div": [2, 2, 2]}},
-        "time": {"dt": 0.01, "t_final": 0.05},
-        "probes": {"bad": [9.0, 0.5, 0.5]},
+        "time": {"dt": 0.01, "t_final": 0.05, "cg_maxiter": 1, "cg_tol": 1e-14},
+        "source": {"type": "monopole", "position": [0.3, 0.4, 0.6], "frequency": 10.0},
     }
     code = cli.main(["solve", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
     assert code == 1
-    assert "outside" in json.loads(capsys.readouterr().err)["message"]
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SolverError" and "CG did not converge" in err["message"]
 
 
 def test_solve_zero_source_zero_probes(tmp_path):
@@ -226,6 +228,42 @@ def test_initial_problems_join_source_problems(tmp_path, capsys):
     assert problems == ["source: unknown type 'magic'", "initial: unknown type 'ring'"]
 
 
+@pytest.mark.parametrize("extra, expected", [
+    ({"probes": {"p": [0.5]}}, "probe 'p' must be 3 finite numbers, got [0.5]"),
+    ({"probes": {"p": [0.5, 0.5]}}, "probe 'p' must be 3 finite numbers, got [0.5, 0.5]"),
+    ({"probes": {"p": [0.5, float("nan"), 0.5]}}, "probe 'p' must be 3 finite numbers, got [0.5, nan, 0.5]"),
+    ({"probes": {"p": 0.5}}, "probe 'p' must be 3 finite numbers, got 0.5"),
+    ({"probes": [[0.5, 0.5, 0.5]]}, "probes: must be an object, got [[0.5, 0.5, 0.5]]"),
+    ({"probes": {"p": [1.5, 0.5, 0.5]}}, "probe 'p' at [1.5, 0.5, 0.5] is outside the mesh"),
+    ({"source": {"type": "monopole", "position": [0.25], "frequency": 5.0}},
+     "source(monopole): position must be 3 finite numbers, got [0.25]"),
+    ({"source": {"type": "monopole", "position": [0.5, -0.5, 0.5], "frequency": 5.0}},
+     "source(monopole): position at [0.5, -0.5, 0.5] is outside the mesh"),
+    ({"source": ["x"]}, "source: must be an object, got ['x']"),
+    ({"impedance": {"xmax": -1}}, "impedance: xmax must be a positive finite number, got -1"),
+    ({"impedance": {"xmax": "abc"}}, "impedance: xmax must be a positive finite number, got 'abc'"),
+    ({"impedance": [415.0]}, "impedance: must be an object, got [415.0]"),
+])
+def test_bad_point_source_or_impedance_is_config_error(tmp_path, capsys, extra, expected):
+    assert _solve_problems(tmp_path, capsys, **extra) == [expected]
+
+
+def test_point_problems_listed_together(tmp_path, capsys):
+    problems = _solve_problems(
+        tmp_path, capsys,
+        probes={"in": [0.5, 0.5, 0.5], "short": [0.5, 0.5], "far": [0.5, 0.5, 2.0]},
+        source={"type": "monopole", "position": [-1.0, 0.5, 0.5], "frequency": 5.0},
+        impedance={"xmax": 0, "zmin": 415.0}, initial={"type": "ring"},
+    )
+    assert problems == [
+        "impedance: xmax must be a positive finite number, got 0",
+        "probe 'short' must be 3 finite numbers, got [0.5, 0.5]",
+        "probe 'far' at [0.5, 0.5, 2.0] is outside the mesh",
+        "source(monopole): position at [-1.0, 0.5, 0.5] is outside the mesh",
+        "initial: unknown type 'ring'",
+    ]
+
+
 def test_unknown_source_type():
     problems = []
     out = cli._build_loads({"source": {"type": "magic"}}, type("S", (), {"ndof": 1})(), None, problems)
@@ -255,6 +293,31 @@ def test_mms_report_and_reproducibility(tmp_path):
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["seed"] == 3
     assert "mms_report.csv" in manifest["outputs"]
+
+
+def test_mms_load_is_scaled_once_built_load(monkeypatch):
+    """The per-step MMS load, sin(pi t) times the load built once, equals
+    the volume and Neumann loads rebuilt at t = k dt."""
+    from semwave import assembly, manufactured
+    from semwave.newmark import run
+
+    captured = []
+
+    def capture(space, ops, loads, cfg, **kw):
+        captured.append((space, ops, loads))
+        return run(space, ops, loads, cfg, **kw)
+
+    monkeypatch.setattr(cli, "run", capture)
+    cfg = NewmarkConfig(dt=0.013, t_final=0.039)
+    cli.mms_single(3, 2, cfg)
+    space, ops, loads = captured[0]
+    for k in (1, 2, 3, 17, 38):
+        t = k * cfg.dt
+        rebuilt = assembly.volume_load(space, manufactured.forcing, t, mass=ops.mass)
+        for tag, n in cli.BOX_NORMALS.items():
+            rebuilt += assembly.neumann_load(space, tag, manufactured.neumann(n), t, c0=1.0)
+        np.testing.assert_allclose(loads(k), rebuilt, rtol=0, atol=1e-14 * np.abs(rebuilt).max())
+    assert np.all(loads(0) == 0.0)
 
 
 def test_fv_source_synthetic(tmp_path):

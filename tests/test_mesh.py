@@ -169,6 +169,61 @@ def test_locate_tie_goes_to_lowest_element():
     assert ref.element == 0
 
 
+def _location_points(mesh, rng):
+    """Vertices, points on shared faces (one reference coordinate at +1, on
+    a face with a neighbour), element interiors and points outside the mesh;
+    returns (points, number outside)."""
+    exterior = {(e, f) for e, f, _ in mesh.boundary}
+    on_faces = []
+    for e in range(mesh.num_elements):
+        for f in (1, 3, 5):
+            if (e, f) not in exterior:
+                ref = rng.uniform(-1, 1, 3)
+                ref[f // 2] = 1.0
+                on_faces.append(mesh.map_to_physical(RefPoint(e, ref)))
+    inside = [mesh.map_to_physical(RefPoint(e, rng.uniform(-0.95, 0.95, 3))) for e in range(mesh.num_elements)]
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    outside = [hi + [0.1, 0.0, 0.0], lo - 0.2, [0.5 * (lo[0] + hi[0]), 0.5, hi[2] + 1e-6]]
+    return np.vstack([mesh.vertices, on_faces, inside, outside]), len(outside)
+
+
+def test_locate_points_matches_per_point_loop(perturbed_mesh, rng):
+    mesh = perturbed_mesh
+    X, n_out = _location_points(mesh, rng)
+    X = X[rng.permutation(len(X))]
+    elem, xi = mesh.locate_points(X)
+    single = [mesh.locate_point(x) for x in X]
+    assert [r is None for r in single] == list(elem < 0)
+    assert (elem < 0).sum() == n_out and np.all(np.isnan(xi[elem < 0]))
+    prev = -1
+    for x, e, ref, r in zip(X, elem, xi, single):
+        if r is None:
+            continue
+        np.testing.assert_allclose(mesh.map_to_physical(RefPoint(int(e), ref)), x, atol=1e-12)
+        if e == r.element:
+            np.testing.assert_array_equal(ref, r.xi)
+        else:  # a tie: the batch keeps the previous point's element, the loop takes the lowest
+            assert e == prev and r.element < e
+        prev = e
+    assert np.all(np.abs(xi[elem >= 0]) <= 1.0)
+
+
+def test_locate_points_tie_goes_to_previous_element():
+    mesh = generate_box_mesh(UNIT_BOX, (2, 1, 1))
+    elem, _ = mesh.locate_points([[0.75, 0.5, 0.5], [0.5, 0.5, 0.5], [0.25, 0.5, 0.5], [0.5, 0.2, 0.2]])
+    assert elem.tolist() == [1, 1, 0, 0]
+    assert mesh.locate_points(np.empty((0, 3)))[0].shape == (0,)
+
+
+@pytest.mark.parametrize("points", [
+    [0.5, 0.5, 0.5], [[0.5, 0.5]], [[[0.5, 0.5, 0.5]]], [[0.5, np.nan, 0.5]], [[0.5, 0.5, np.inf]],
+])
+def test_locate_points_rejects_bad_input(points):
+    mesh = generate_box_mesh(UNIT_BOX, (2, 2, 2))
+    with pytest.raises(ValueError, match="points must be"):
+        mesh.locate_points(points)
+
+
 def test_h_is_largest_diameter():
     mesh = generate_box_mesh([(0, 2), (0, 1), (0, 1)], (2, 1, 1))
     assert abs(mesh.h - np.sqrt(3.0)) < 1e-12

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semwave import build_space, evaluate, generate_box_mesh, interpolate, l2_error
-from semwave.space import SpectralField, face_local_nodes, write_vtk
+from semwave.gll import lagrange_all
+from semwave.mesh import RefPoint
+from semwave.space import SpectralField, basis_at, basis_rows, face_local_nodes, write_vtk
 
 UNIT_BOX = [(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
 
@@ -287,3 +289,25 @@ def test_reoriented_elements_still_share_dofs(perturbed_mesh, r):
         np.testing.assert_allclose(mass, 1.5, rtol=1e-13)
     for tag, dofs in original.boundary_dofs.items():
         assert space.boundary_dofs[tag].size == dofs.size
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_basis_rows_match_per_point_basis(unit_mesh, rng, r):
+    """basis_rows equals basis_at and the per-point tensor product of the 1D
+    cardinal values, is the identity at the local nodes and reproduces a
+    degree-r tensor polynomial at random points."""
+    space = build_space(unit_mesh, r)
+    xi = np.vstack([rng.uniform(-1, 1, (20, 3)), space.local_nodes_ref(), [[-1.0, 1.0, 0.3]]])
+    rows = basis_rows(space, xi)
+    for x, row in zip(xi, rows):
+        lx, ly, lz = (lagrange_all(space.rule, c) for c in x)
+        np.testing.assert_array_equal(row, np.einsum("i,j,k->kji", lx, ly, lz).ravel())
+        np.testing.assert_array_equal(row, basis_at(space, RefPoint(0, x)))
+    np.testing.assert_array_equal(rows[20:20 + space.nloc], np.eye(space.nloc))
+    nodes = space.local_nodes_ref()
+
+    def poly(p):
+        return (1 + p[..., 0]) ** r * (0.5 - p[..., 1]) ** r * p[..., 2] ** (r - 1)
+
+    np.testing.assert_allclose(rows @ poly(nodes), poly(xi), rtol=0, atol=1e-12)
+    assert basis_rows(space, np.empty((0, 3))).shape == (0, space.nloc)
