@@ -5,6 +5,12 @@ nodal basis points.  The stiffness and convective operators are applied
 matrix-free and sum-factorised (Deville, Fischer & Mund 2002, section 4):
 matmuls with the 1D differentiation matrix on each (p, p, p) element
 block, then the stiffness metric through its 6 symmetric components.
+On a mesh of axis-aligned boxes the metric is w diag(c_e), so each element
+stiffness is K_e = sum_a c_ea Khat_a with Khat_a = D_a^T W D_a on the
+reference cube; up to BOX_GEMM_MAX_DEGREE the stiffness is then one GEMM
+of the gathered element values with [Khat_x | Khat_y | Khat_z] and a
+3-term reduction (a precomputed local operator, which beats
+sum-factorisation at low degree: Cantwell et al., Comput. Fluids 43, 2011).
 Impedance boundary damping is a diagonal built from the 2D GLL face rule
 collocated with the volume DOFs.
 """
@@ -19,27 +25,48 @@ from .mesh import FACE_TANGENTS, map_cofactors, shape_gradients
 from .space import SpectralSpace, basis_rows, face_local_nodes
 
 
+# Highest degree at which box elements apply the stiffness by the dense
+# reference operator.  At ~24k DOFs on one BLAS thread the dense GEMM wins up
+# to r = 4 (r=2: 0.44 against 1.40 ms; r=4: 0.52 against 0.61 ms) and loses
+# from r = 5 on (0.61 against 0.44 ms), as its cost grows with nloc^2 against
+# nloc (r+1) for sum-factorisation; the r = 1..8 table is in CHANGES.md.
+BOX_GEMM_MAX_DEGREE = 4
+
+
 def element_geometry(space: SpectralSpace) -> dict:
     """Per-element, per-GLL-node geometric factors, cached on the space.
 
-    Keys: ``wdet`` (ne,nloc), the 3D GLL weight times det J; ``g6``
-    (6,ne,nloc), the xx, yy, zz, xy, xz, yz components of the symmetric
-    stiffness metric wdet J^-1 J^-T, in closed form w (cof_a . cof_b) / det;
-    and ``dmat``, the 1D differentiation matrix.  det and cof come from
-    mesh.map_cofactors, like every volume quantity of the element map.  ``surface`` is
-    added by the first surface_quadrature call and ``jinvt`` (J^-T,
-    (3,3,ne,nloc)) by the first ConvectiveOperators.apply.
+    Keys: ``wdet`` (ne,nloc), the 3D GLL weight times det J; ``dmat``, the
+    1D differentiation matrix; and the stiffness data of one of two paths.
+    When every element is an axis-aligned box (HexMesh.aligned_boxes) and
+    the degree is at most BOX_GEMM_MAX_DEGREE: ``khat`` (nloc, 3 nloc), the
+    reference operators [Khat_x | Khat_y | Khat_z], Khat_a = D_a^T W D_a,
+    and ``cbox`` (ne, 3), the per-element constants g_aa / w =
+    |cof_a|^2 / det.  Otherwise: ``g6`` (6,ne,nloc), the xx, yy, zz, xy, xz,
+    yz components of the symmetric stiffness metric wdet J^-1 J^-T, in closed
+    form w (cof_a . cof_b) / det.  det and cof come from mesh.map_cofactors,
+    like every volume quantity of the element map.  ``surface`` is added by
+    the first surface_quadrature call and ``jinvt`` (J^-T, (3,3,ne,nloc)) by
+    the first ConvectiveOperators.apply.
     """
     if "wdet" in space._geom:
         return space._geom
     cof, det = map_cofactors(space.mesh.corner_coords(), space.local_nodes_ref())
     if np.any(det <= 0):
         raise ValueError("non-positive Jacobian at a quadrature node")
-    w = space.tensor_weights()
+    w, d = space.tensor_weights(), diff_matrix(space.rule)
+    space._geom.update(wdet=w * det, dmat=d)
+    if space.degree <= BOX_GEMM_MAX_DEGREE and space.mesh.aligned_boxes():
+        eye = np.eye(space.degree + 1)
+        dref = (np.kron(eye, np.kron(eye, d)), np.kron(eye, np.kron(d, eye)), np.kron(d, np.kron(eye, eye)))
+        khat = np.hstack([da.T @ (w[:, None] * da) for da in dref])
+        cbox = ((cof[:, :, :, 0] ** 2).sum(axis=1) / det[:, 0]).T  # g_aa / w, constant on a box
+        space._geom.update(khat=khat, cbox=cbox)
+        return space._geom
     scale = w / det
     sym = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
     g6 = np.stack([scale * (cof[a, 0] * cof[b, 0] + cof[a, 1] * cof[b, 1] + cof[a, 2] * cof[b, 2]) for a, b in sym])
-    space._geom.update(wdet=w * det, g6=g6, dmat=diff_matrix(space.rule))
+    space._geom["g6"] = g6
     return space._geom
 
 
@@ -72,8 +99,12 @@ def _grad_ref_t(qx: np.ndarray, qy: np.ndarray, qz: np.ndarray, d: np.ndarray) -
 
 
 def apply_stiffness(space: SpectralSpace, u: np.ndarray) -> np.ndarray:
-    """Matrix-free K u, K_ij = (grad phi_j, grad phi_i)^NI."""
+    """Matrix-free K u, K_ij = (grad phi_j, grad phi_i)^NI: the box GEMM or
+    the sum-factorised kernel, whichever element_geometry prepared."""
     geom = element_geometry(space)
+    if "khat" in geom:  # box elements: K_e = sum_a c_ea Khat_a, one GEMM for all elements
+        ku = (u[space.emap] @ geom["khat"]).reshape(space.mesh.num_elements, 3, -1)
+        return _scatter(space, np.einsum("ec,ecn->en", geom["cbox"], ku))
     d, g = geom["dmat"], geom["g6"]
     p = space.degree + 1
     gx, gy, gz = _grad_ref(u[space.emap].reshape(-1, p, p, p), d)

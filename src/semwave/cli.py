@@ -23,6 +23,7 @@ from . import manufactured
 from .assembly import assemble_operators, neumann_load, point_source_load, volume_load
 from .curle import CurleError, ForceHistory, curle_pressure, psd
 from .fvsource import generate_box_fv, lighthill_divergence, load_fv, sample_velocity, save_fv, spanwise_average
+from .gll import MAX_DEGREE
 from .mesh import HexMesh, generate_box_mesh
 from .newmark import NewmarkConfig, run, write_probe_csv
 from .projection import aeroacoustic_load, build_projection
@@ -67,6 +68,15 @@ def _mesh_from_config(spec: dict, problems) -> HexMesh | None:
         problems.append(f"mesh.generator: missing {missing}")
         return None
     return generate_box_mesh(gen["box"], gen["div"], gen.get("tags"))
+
+
+def _degree_from_config(cfg: dict, problems) -> int | None:
+    """cfg["degree"] when it is an integer in the GLL range, else one problem."""
+    r = cfg.get("degree")
+    if type(r) is not int or not 1 <= r <= MAX_DEGREE:
+        problems.append(f"degree must be an integer in [1, {MAX_DEGREE}], got {r!r}")
+        return None
+    return r
 
 
 def _newmark_from_config(cfg: dict, problems) -> NewmarkConfig | None:
@@ -194,10 +204,12 @@ def _build_loads(cfg: dict, space, nm: NewmarkConfig, problems):
         if missing:
             problems.append(f"source(monopole): missing {missing}")
             return None
+        f0 = src["frequency"]
+        if type(f0) not in (int, float) or not np.isfinite(f0):
+            problems.append(f"source(monopole): frequency must be a finite number, got {f0!r}")
         if problems:  # the run stops here; a position _check_points rejected would raise below
             return None
         unit = point_source_load(space, src["position"], 1.0)
-        f0 = float(src["frequency"])
         return lambda k: unit * np.sin(2.0 * np.pi * f0 * k * nm.dt)
     if kind == "projected":
         files = src.get("files")
@@ -316,12 +328,13 @@ def run_solve(cfg: dict, out_dir: Path, run_name: str = "solve", metrics: dict |
     _require(cfg, ("rho0", "c0", "mesh", "degree", "time"), problems)
     nm = _newmark_from_config(cfg, problems)
     mesh = _mesh_from_config(cfg.get("mesh", {}), problems) if "mesh" in cfg else None
+    degree = _degree_from_config(cfg, problems) if "degree" in cfg else None
     if problems:
         raise ConfigError(problems)
 
     impedance = _impedance_from_config(cfg, mesh, problems)
     _check_points(cfg, mesh, problems)
-    space = build_space(mesh, int(cfg["degree"]))
+    space = build_space(mesh, degree)
     ops = assemble_operators(space, c0=float(cfg["c0"]), rho0=float(cfg["rho0"]), impedance=impedance)
     loads = _build_loads(cfg, space, nm, problems)
     initial = _initial_from_config(cfg, space, ops.c0, problems)
@@ -391,10 +404,11 @@ def run_project(cfg: dict, out_dir: Path):
     problems = []
     _require(cfg, ("fv_file", "mesh", "degree"), problems)
     mesh = _mesh_from_config(cfg.get("mesh", {}), problems) if "mesh" in cfg else None
+    degree = _degree_from_config(cfg, problems) if "degree" in cfg else None
     if problems:
         raise ConfigError(problems)
     fvmesh, fields = load_fv(cfg["fv_file"])
-    space = build_space(mesh, int(cfg["degree"]))
+    space = build_space(mesh, degree)
     proj = build_projection(space, fvmesh, points_per_axis=int(cfg.get("points_per_axis", 3)))
     from .assembly import assemble_convective
 

@@ -97,24 +97,35 @@ def newmark_step(
     state: WaveState, ops: AssembledOperators, load_next: np.ndarray, cfg: NewmarkConfig, diag=None
 ) -> WaveState:
     """Advance one step; load_next is the load vector at t^{k+1}.  diag is the
-    step-independent M + gamma dt B, made here when not given."""
+    step-independent M + gamma dt B, made here when not given.
+
+    The new state's rho, vel and acc are the predictor and right-hand-side
+    buffers, updated in place in the operation order of the textbook update,
+    so results are bitwise those of the out-of-place formulas; state is left
+    unchanged."""
     dt, beta, gamma = cfg.dt, cfg.beta, cfg.gamma
     c2 = ops.c0**2
-    rho_pred = state.rho + dt * state.vel + (0.5 - beta) * dt**2 * state.acc
-    v_pred = state.vel + (1.0 - gamma) * dt * state.acc
-    rhs = load_next - ops.damping * v_pred - c2 * ops.stiffness(rho_pred)
     if diag is None:
         diag = ops.mass + gamma * dt * ops.damping
+    rho = np.multiply(dt, state.vel)  # predictor rho + dt v + (1/2 - beta) dt^2 a
+    rho += state.rho
+    work = np.empty_like(rho)
+    rho += np.multiply((0.5 - beta) * dt**2, state.acc, out=work)
+    vel = np.multiply((1.0 - gamma) * dt, state.acc)  # predictor v + (1 - gamma) dt a
+    vel += state.vel
+    rhs = np.multiply(ops.damping, vel)  # rhs = f - B v_pred - c0^2 K rho_pred
+    np.subtract(load_next, rhs, out=rhs)
+    rhs -= np.multiply(c2, ops.stiffness(rho), out=work)
     if beta == 0.0:
-        acc = rhs / diag
+        acc = np.divide(rhs, diag, out=rhs)
     else:
 
         def apply_eff(u):
             return diag * u + beta * dt**2 * c2 * ops.stiffness(u)
 
         acc, _ = pcg(apply_eff, rhs, diag, cfg.cg_tol, cfg.cg_maxiter)
-    rho = rho_pred + beta * dt**2 * acc
-    vel = v_pred + gamma * dt * acc
+    rho += np.multiply(beta * dt**2, acc, out=work)
+    vel += np.multiply(gamma * dt, acc, out=work)
     return WaveState(rho, vel, acc, state.t + dt, state.step + 1)
 
 

@@ -27,7 +27,6 @@ import scipy.sparse as sp
 
 from .fvsource import FvMesh
 from .gll import lagrange_all
-from .mesh import CORNER_REF
 from .newmark import pcg
 from .space import SpectralField, SpectralSpace, _gauss_rule, basis_rows
 
@@ -118,14 +117,6 @@ def _cell_boxes(mesh: FvMesh, cell: np.ndarray, face: np.ndarray):
     return lo, hi, is_box
 
 
-def _elements_aligned(mesh) -> bool:
-    """Whether every element is an axis-aligned box (corners coincide with
-    its bounding-box corners)."""
-    lo, hi = mesh.element_bboxes()
-    expected = np.where(CORNER_REF[None, :, :] < 0, lo[:, None, :], hi[:, None, :])
-    return bool(np.allclose(mesh.corner_coords(), expected, atol=1e-12 * mesh.h))
-
-
 _PAIR_CHUNK = 1 << 16  # cell-element bounding-box tests per batch
 
 
@@ -161,7 +152,7 @@ def assemble_coupling(space: SpectralSpace, fvmesh: FvMesh, points_per_axis: int
     gx, gw = np.polynomial.legendre.leggauss(points_per_axis)
     inc_cell, inc_face, start = fvmesh.cell_faces()
     clo, chi, is_box = _cell_boxes(fvmesh, inc_cell, inc_face)
-    if not _elements_aligned(space.mesh):
+    if not space.mesh.aligned_boxes():
         is_box[:] = False
     rows, cols, vals = [], [], []
     hit = np.zeros(fvmesh.num_cells, dtype=bool)

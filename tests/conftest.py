@@ -61,3 +61,15 @@ def graded_mesh():
     v[:, 1] = v[:, 1] ** 2
     v[:, 2] = np.sqrt(v[:, 2])
     return HexMesh(v, box.elements, box.boundary)
+
+
+@pytest.fixture(scope="session")
+def rotated_mesh():
+    """2x1x1 box elements turned about a skew axis: affine, not axis-aligned."""
+    from scipy.spatial.transform import Rotation
+
+    from semwave.mesh import HexMesh
+
+    box = generate_box_mesh([(0.0, 1.0), (0.0, 0.5), (0.0, 0.5)], (2, 1, 1))
+    turn = Rotation.from_rotvec([0.3, -0.5, 0.7]).as_matrix()
+    return HexMesh(box.vertices @ turn.T, box.elements, box.boundary)

@@ -12,6 +12,7 @@ from semwave.assembly import (
     assemble_mass,
     assemble_operators,
     apply_stiffness,
+    element_geometry,
     neumann_load,
     point_source_load,
     surface_quadrature,
@@ -321,9 +322,20 @@ def _dense_oracles(space):
     return k, c
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 4])
-def test_non_affine_kernels_match_dense_oracle(perturbed_mesh, r):
-    space = build_space(perturbed_mesh, r)
+_KERNEL_CASES = (
+    [pytest.param("perturbed_mesh", r, False, id=str(r)) for r in (1, 2, 3, 4)]
+    + [pytest.param("graded_mesh", r, True, id=f"graded-{r}") for r in (1, 2, 3, 4)]
+    + [pytest.param("rotated_mesh", 2, False, id="rotated-2")]
+)
+
+
+@pytest.mark.parametrize("mesh_name, r, box_path", _KERNEL_CASES)
+def test_non_affine_kernels_match_dense_oracle(request, mesh_name, r, box_path):
+    """Both stiffness paths, and the convective kernel, against the dense
+    weak forms: the box GEMM on axis-aligned boxes up to BOX_GEMM_MAX_DEGREE,
+    the sum-factorised kernel on curved and on rotated affine elements."""
+    space = build_space(request.getfixturevalue(mesh_name), r)
+    assert ("khat" in element_geometry(space)) is box_path
     k_ref, c_ref = _dense_oracles(space)
     eye = np.eye(space.ndof)
     k = np.stack([apply_stiffness(space, col) for col in eye], axis=1)
@@ -335,6 +347,23 @@ def test_non_affine_kernels_match_dense_oracle(perturbed_mesh, r):
     for ell in range(3):
         c = np.stack([conv.apply(ell, col) for col in eye], axis=1)
         np.testing.assert_allclose(c, c_ref[ell], rtol=0, atol=1e-12 * np.abs(c_ref[ell]).max())
+
+
+def test_box_path_stops_at_degree_limit(graded_mesh, monkeypatch, rng):
+    """Above BOX_GEMM_MAX_DEGREE box elements take the sum-factorised kernel,
+    which agrees with the box GEMM there to roundoff."""
+    from semwave import assembly
+
+    r = assembly.BOX_GEMM_MAX_DEGREE + 1
+    space = build_space(graded_mesh, r)
+    geom = element_geometry(space)
+    assert "g6" in geom and "khat" not in geom
+    u = rng.standard_normal(space.ndof)
+    monkeypatch.setattr(assembly, "BOX_GEMM_MAX_DEGREE", r)
+    boxed = build_space(graded_mesh, r)
+    assert "khat" in element_geometry(boxed)
+    k_sf, k_box = apply_stiffness(space, u), apply_stiffness(boxed, u)
+    np.testing.assert_allclose(k_box, k_sf, rtol=0, atol=1e-13 * np.abs(k_sf).max())
 
 
 # -- cached surface quadrature --------------------------------------------
@@ -380,7 +409,6 @@ def test_surface_quadrature_cache_matches_fresh_build(perturbed_mesh):
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_closed_form_geometry_matches_inverse(perturbed_mesh, r):
     """wdet and g6 from the cofactors against det and np.linalg.inv of J."""
-    from semwave.assembly import element_geometry
     from semwave.mesh import shape_gradients
 
     space = build_space(perturbed_mesh, r)

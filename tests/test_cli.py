@@ -248,6 +248,33 @@ def test_bad_point_source_or_impedance_is_config_error(tmp_path, capsys, extra, 
     assert _solve_problems(tmp_path, capsys, **extra) == [expected]
 
 
+@pytest.mark.parametrize("degree", [20, 0, "abc", 2.0, True])
+def test_solve_bad_degree_is_config_error(tmp_path, capsys, degree):
+    problems = _solve_problems(tmp_path, capsys, degree=degree)
+    assert problems == [f"degree must be an integer in [1, 12], got {degree!r}"]
+
+
+@pytest.mark.parametrize("degree", [20, "abc"])
+def test_project_bad_degree_is_config_error(tmp_path, capsys, degree):
+    box = [[0, 1], [0, 1], [0, 1]]
+    fv_cfg = {"version": "1", "rho0": 1.0, "synthetic": {"box": box, "div": [2, 2, 2], "field": "shear_xy"}}
+    fv_out = tmp_path / "fv"
+    assert cli.main(["fv-source", "--config", _write_config(tmp_path, fv_cfg, "fv.json"), "--out", str(fv_out)]) == 0
+    pr_cfg = {"version": "1", "fv_file": str(fv_out / "fv_source.json"), "degree": degree,
+              "mesh": {"generator": {"box": box, "div": [1, 1, 1]}}}
+    pr_path = _write_config(tmp_path, pr_cfg, "pr.json")
+    code = cli.main(["project", "--config", pr_path, "--out", str(tmp_path / "pr")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and err["problems"] == [f"degree must be an integer in [1, 12], got {degree!r}"]
+
+
+@pytest.mark.parametrize("frequency", ["abc", float("inf"), None])
+def test_bad_monopole_frequency_is_config_error(tmp_path, capsys, frequency):
+    source = {"type": "monopole", "position": [0.5, 0.5, 0.5], "frequency": frequency}
+    problems = _solve_problems(tmp_path, capsys, source=source)
+    assert problems == [f"source(monopole): frequency must be a finite number, got {frequency!r}"]
+
+
 def test_point_problems_listed_together(tmp_path, capsys):
     problems = _solve_problems(
         tmp_path, capsys,

@@ -139,6 +139,21 @@ def test_sheared_hex_has_varying_jacobian():
     assert not np.allclose(j1, j2)
 
 
+def test_aligned_boxes(graded_mesh, perturbed_mesh, rotated_mesh):
+    assert generate_box_mesh(UNIT_BOX, (2, 3, 1)).aligned_boxes()
+    assert graded_mesh.aligned_boxes()
+    assert not perturbed_mesh.aligned_boxes()
+    assert not rotated_mesh.aligned_boxes()
+    # one corner moved by far less than the element but far more than roundoff
+    v = graded_mesh.vertices.copy()
+    v[graded_mesh.elements[0, 7]] += 1e-9
+    assert not HexMesh(v, graded_mesh.elements, graded_mesh.boundary).aligned_boxes()
+    # a box turned half a turn about z: corner order reversed along x and y, det J > 0
+    cube = generate_box_mesh(UNIT_BOX, (1, 1, 1))
+    turned = HexMesh(cube.vertices, cube.elements[:, np.arange(8) ^ 3], cube.boundary)
+    assert not turned.aligned_boxes()
+
+
 def test_locate_point_on_shared_face():
     mesh = generate_box_mesh(UNIT_BOX, (4, 4, 4))
     ref = mesh.locate_point(np.array([0.5 + 1e-12, 0.5, 0.5]))

@@ -263,3 +263,37 @@ def test_run_matches_stepping_without_a_precomputed_diagonal(rng, beta):
         state = newmark_step(state, ops, loads(k + 1), cfg)
     for got, want in ((final.rho, state.rho), (final.vel, state.vel), (final.acc, state.acc)):
         np.testing.assert_array_equal(got, want)
+
+
+def _textbook_step(state, ops, load_next, cfg):
+    """The out-of-place Newmark update, formula by formula."""
+    dt, beta, gamma, c2 = cfg.dt, cfg.beta, cfg.gamma, ops.c0**2
+    rho_pred = state.rho + dt * state.vel + (0.5 - beta) * dt**2 * state.acc
+    v_pred = state.vel + (1.0 - gamma) * dt * state.acc
+    rhs = load_next - ops.damping * v_pred - c2 * ops.stiffness(rho_pred)
+    diag = ops.mass + gamma * dt * ops.damping
+    if beta == 0.0:
+        acc = rhs / diag
+    else:
+        acc, _ = pcg(lambda u: diag * u + beta * dt**2 * c2 * ops.stiffness(u), rhs, diag, cfg.cg_tol, cfg.cg_maxiter)
+    return rho_pred + beta * dt**2 * acc, v_pred + gamma * dt * acc, acc
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.25])
+def test_step_matches_textbook_update_and_keeps_input(rng, beta):
+    """The in-place step gives the out-of-place formulas' states bit for bit
+    and leaves the state it was given unchanged."""
+    space = build_space(generate_box_mesh(UNIT_BOX, (2, 1, 1)), 2)
+    ops = assemble_operators(space, c0=1.3, rho0=1.0, impedance={"xmin": 2.0, "ymax": 0.5})
+    cfg = NewmarkConfig(dt=0.5, t_final=2.0, beta=beta)  # a large dt: every term moves the sums' roundoff
+    state = WaveState(*rng.standard_normal((3, space.ndof)), 0.25, 4)
+    before = [state.rho.copy(), state.vel.copy(), state.acc.copy()]
+    load = rng.standard_normal(space.ndof)
+    new = newmark_step(state, ops, load, cfg)
+    for got, want in zip((new.rho, new.vel, new.acc), _textbook_step(state, ops, load, cfg)):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip((state.rho, state.vel, state.acc), before):
+        np.testing.assert_array_equal(got, want)
+    assert (new.t, new.step) == (0.25 + cfg.dt, 5)
+    given = (state.rho, state.vel, state.acc, load)
+    assert not any(np.shares_memory(a, b) for a in (new.rho, new.vel, new.acc) for b in given)
