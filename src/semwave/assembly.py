@@ -1,16 +1,11 @@
 """SEM operators with numerical integration (GLL collocation).
 
 The mass matrix is diagonal because quadrature nodes coincide with the
-nodal basis points.  The stiffness and convective operators are applied
-matrix-free and sum-factorised (Deville, Fischer & Mund 2002, section 4):
-matmuls with the 1D differentiation matrix on each (p, p, p) element
-block, then the stiffness metric through its 6 symmetric components.
-On a mesh of axis-aligned boxes the metric is w diag(c_e), so each element
-stiffness is K_e = sum_a c_ea Khat_a with Khat_a = D_a^T W D_a on the
-reference cube; up to BOX_GEMM_MAX_DEGREE the stiffness is then one GEMM
-of the gathered element values with [Khat_x | Khat_y | Khat_z] and a
-3-term reduction (a precomputed local operator, which beats
-sum-factorisation at low degree: Cantwell et al., Comput. Fluids 43, 2011).
+nodal basis points.  On axis-aligned boxes the stiffness is one assembled
+CSR matrix of the structural nonzeros (box_stiffness).  Otherwise it, and
+always the convective operators, are applied matrix-free and sum-factorised
+(Deville, Fischer & Mund 2002, section 4): 1D differentiation matmuls on each
+(p, p, p) element block, then the 6 symmetric components of the metric.
 Impedance boundary damping is a diagonal built from the 2D GLL face rule
 collocated with the volume DOFs.
 """
@@ -19,55 +14,83 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .gll import diff_matrix
 from .mesh import FACE_TANGENTS, map_cofactors, shape_gradients
 from .space import SpectralSpace, basis_rows, face_local_nodes
 
 
-# Highest degree at which box elements apply the stiffness by the dense
-# reference operator.  At ~24k DOFs on one BLAS thread the dense GEMM wins up
-# to r = 4 (r=2: 0.44 against 1.40 ms; r=4: 0.52 against 0.61 ms) and loses
-# from r = 5 on (0.61 against 0.44 ms), as its cost grows with nloc^2 against
-# nloc (r+1) for sum-factorisation; the r = 1..8 table is in CHANGES.md.
-BOX_GEMM_MAX_DEGREE = 4
+# Highest degree of the assembled box stiffness: at ~24k DOFs on one BLAS
+# thread it beats the sum-factorised kernel up to r = 9, ties at r = 10 with
+# ~6x the operator memory and loses from r = 11 on, as its nonzeros a row grow
+# like 3r + 1 (table in CHANGES.md).
+BOX_CSR_MAX_DEGREE = 9
 
 
 def element_geometry(space: SpectralSpace) -> dict:
-    """Per-element, per-GLL-node geometric factors, cached on the space.
+    """Per-element geometric factors from mesh.map_cofactors, cached on the space.
 
-    Keys: ``wdet`` (ne,nloc), the 3D GLL weight times det J; ``dmat``, the
-    1D differentiation matrix; and the stiffness data of one of two paths.
-    When every element is an axis-aligned box (HexMesh.aligned_boxes) and
-    the degree is at most BOX_GEMM_MAX_DEGREE: ``khat`` (nloc, 3 nloc), the
-    reference operators [Khat_x | Khat_y | Khat_z], Khat_a = D_a^T W D_a,
-    and ``cbox`` (ne, 3), the per-element constants g_aa / w =
-    |cof_a|^2 / det.  Otherwise: ``g6`` (6,ne,nloc), the xx, yy, zz, xy, xz,
-    yz components of the symmetric stiffness metric wdet J^-1 J^-T, in closed
-    form w (cof_a . cof_b) / det.  det and cof come from mesh.map_cofactors,
-    like every volume quantity of the element map.  ``surface`` is added by
-    the first surface_quadrature call and ``jinvt`` (J^-T, (3,3,ne,nloc)) by
-    the first ConvectiveOperators.apply.
+    ``wdet`` (ne,nloc) is the GLL weight times det J, ``dmat`` the 1D
+    differentiation matrix and ``jinvt`` (3,3,ne,nq) J^-T = cof^T / det.  On
+    axis-aligned boxes (HexMesh.aligned_boxes) up to BOX_CSR_MAX_DEGREE, J is
+    constant: cof and det are taken at each element's centre (nq = 1) and
+    ``cbox`` (ne, 3) = |cof_a|^2 / det feeds box_stiffness (``kcsr``).
+    Otherwise nq = nloc and ``g6`` (6,ne,nloc) is the xx, yy, zz, xy, xz, yz
+    metric wdet J^-1 J^-T = w (cof_a . cof_b) / det at every node.  The first
+    surface_quadrature call adds ``surface``.
     """
     if "wdet" in space._geom:
         return space._geom
-    cof, det = map_cofactors(space.mesh.corner_coords(), space.local_nodes_ref())
+    corners = space.mesh.corner_coords()
+    box = space.degree <= BOX_CSR_MAX_DEGREE and space.mesh.aligned_boxes(corners)
+    cof, det = map_cofactors(corners, np.zeros((1, 3)) if box else space.local_nodes_ref())
     if np.any(det <= 0):
         raise ValueError("non-positive Jacobian at a quadrature node")
-    w, d = space.tensor_weights(), diff_matrix(space.rule)
-    space._geom.update(wdet=w * det, dmat=d)
-    if space.degree <= BOX_GEMM_MAX_DEGREE and space.mesh.aligned_boxes():
-        eye = np.eye(space.degree + 1)
-        dref = (np.kron(eye, np.kron(eye, d)), np.kron(eye, np.kron(d, eye)), np.kron(d, np.kron(eye, eye)))
-        khat = np.hstack([da.T @ (w[:, None] * da) for da in dref])
-        cbox = ((cof[:, :, :, 0] ** 2).sum(axis=1) / det[:, 0]).T  # g_aa / w, constant on a box
-        space._geom.update(khat=khat, cbox=cbox)
+    w = space.tensor_weights()
+    space._geom.update(wdet=w * det, dmat=diff_matrix(space.rule), jinvt=np.swapaxes(cof, 0, 1) / det)
+    if box:
+        space._geom["cbox"] = ((cof[:, :, :, 0] ** 2).sum(axis=1) / det[:, 0]).T
         return space._geom
     scale = w / det
     sym = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
     g6 = np.stack([scale * (cof[a, 0] * cof[b, 0] + cof[a, 1] * cof[b, 1] + cof[a, 2] * cof[b, 2]) for a, b in sym])
     space._geom["g6"] = g6
     return space._geom
+
+
+def box_stiffness(space: SpectralSpace) -> sparse.csr_array:
+    """K of a box mesh as one CSR matrix, built on the first call, cached as ``kcsr``.
+
+    K_e = sum_a c_ea Khat_a with Khat_x = W_z (x) W_y (x) D^T W D, and so on,
+    couples a node only with its three GLL lines: each element adds those
+    3r + 1 entries a row, not the structural zeros of its dense block (an
+    assembled sparse K is fastest at low order: Vos et al., JCP 229, 2010).
+    """
+    geom = element_geometry(space)
+    if "cbox" not in geom:
+        raise ValueError(f"box_stiffness needs axis-aligned box elements of degree <= {BOX_CSR_MAX_DEGREE}")
+    if "kcsr" not in geom:
+        r, w1, d = space.degree, space.rule.weights, geom["dmat"]
+        n, step = np.arange((r + 1) ** 3), (r + 1) ** np.arange(3)[:, None]
+        ijk = n // step % (r + 1)  # (3, nloc): local node (i, j, k)
+        line = (ijk[:, None] + np.arange(1, r + 1)[:, None]) % (r + 1)  # (3, r, nloc): its line neighbours
+        wa, a1 = w1[ijk[[1, 0, 0]]] * w1[ijk[[2, 2, 1]]], d.T @ (w1[:, None] * d)  # other-axis weights, D^T W D
+        off = np.zeros((3, 3, r, n.size))
+        off[[0, 1, 2], [0, 1, 2]] = wa[:, None] * a1[ijk[:, None], line]
+        vals = np.concatenate([(wa * a1[ijk, ijk])[:, None], off.reshape(3, 3 * r, -1)], axis=1)
+        cols = np.concatenate([n[None], (n + (line - ijk[:, None]) * step[:, None]).reshape(3 * r, -1)])
+        # element rows B summed into global rows by the gather P: K = P^T B, one
+        # sparse product and no sort; 32-bit indices where they fit, so none is copied
+        size, width = space.emap.size, 3 * r + 1
+        emap = space.emap.astype(np.int32 if size * width < 2**31 else np.int64)
+        rows = sparse.csr_array((
+            (geom["cbox"] @ vals.transpose(0, 2, 1).reshape(3, -1)).ravel(), emap[:, cols.T].ravel(),
+            np.arange(0, size * width + 1, width, dtype=emap.dtype)), shape=(size, space.ndof))
+        gather = sparse.csc_array((np.ones(size), emap.ravel(), np.arange(size + 1, dtype=emap.dtype)),
+                                  shape=rows.shape[::-1]).tocsr()
+        geom["kcsr"] = gather @ rows
+    return geom["kcsr"]
 
 
 def _scatter(space: SpectralSpace, local: np.ndarray) -> np.ndarray:
@@ -99,12 +122,11 @@ def _grad_ref_t(qx: np.ndarray, qy: np.ndarray, qz: np.ndarray, d: np.ndarray) -
 
 
 def apply_stiffness(space: SpectralSpace, u: np.ndarray) -> np.ndarray:
-    """Matrix-free K u, K_ij = (grad phi_j, grad phi_i)^NI: the box GEMM or
-    the sum-factorised kernel, whichever element_geometry prepared."""
+    """K u, K_ij = (grad phi_j, grad phi_i)^NI: the assembled box_stiffness
+    on axis-aligned boxes, else the matrix-free sum-factorised kernel."""
     geom = element_geometry(space)
-    if "khat" in geom:  # box elements: K_e = sum_a c_ea Khat_a, one GEMM for all elements
-        ku = (u[space.emap] @ geom["khat"]).reshape(space.mesh.num_elements, 3, -1)
-        return _scatter(space, np.einsum("ec,ecn->en", geom["cbox"], ku))
+    if "cbox" in geom:
+        return box_stiffness(space) @ u
     d, g = geom["dmat"], geom["g6"]
     p = space.degree + 1
     gx, gy, gz = _grad_ref(u[space.emap].reshape(-1, p, p, p), d)
@@ -123,12 +145,8 @@ class ConvectiveOperators:
     def apply(self, ell: int, q: np.ndarray) -> np.ndarray:
         space = self.space
         geom = element_geometry(space)
-        if "jinvt" not in geom:
-            cof, det = map_cofactors(space.mesh.corner_coords(), space.local_nodes_ref())
-            geom["jinvt"] = np.swapaxes(cof, 0, 1) / det  # J^-T[l, d] = J^-1[d, l] = cof[d, l] / det
         s = geom["wdet"] * q[space.emap]  # (ne, nloc)
-        # [grad phi_i]_l = sum_d J^-T[l,d] Dhat_d phi_i
-        jt = geom["jinvt"][ell]
+        jt = geom["jinvt"][ell]  # [grad phi_i]_l = sum_d J^-T[l,d] Dhat_d phi_i
         return _scatter(space, _grad_ref_t(jt[0] * s, jt[1] * s, jt[2] * s, geom["dmat"]))
 
 
@@ -229,7 +247,7 @@ def point_source_load(space: SpectralSpace, x_source, amplitude: float) -> np.nd
 
 @dataclass
 class AssembledOperators:
-    """Diagonal mass M, matrix-free stiffness K, diagonal damping B."""
+    """Diagonal mass M, stiffness K (apply_stiffness), diagonal damping B."""
 
     space: SpectralSpace
     mass: np.ndarray

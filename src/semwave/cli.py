@@ -70,13 +70,26 @@ def _mesh_from_config(spec: dict, problems) -> HexMesh | None:
     return generate_box_mesh(gen["box"], gen["div"], gen.get("tags"))
 
 
+def _degree_ok(r, where: str, problems) -> bool:
+    """Whether r is an integer in the GLL range; else one problem."""
+    if type(r) is int and 1 <= r <= MAX_DEGREE:
+        return True
+    problems.append(f"{where} must be an integer in [1, {MAX_DEGREE}], got {r!r}")
+    return False
+
+
 def _degree_from_config(cfg: dict, problems) -> int | None:
     """cfg["degree"] when it is an integer in the GLL range, else one problem."""
     r = cfg.get("degree")
-    if type(r) is not int or not 1 <= r <= MAX_DEGREE:
-        problems.append(f"degree must be an integer in [1, {MAX_DEGREE}], got {r!r}")
-        return None
-    return r
+    return r if _degree_ok(r, "degree", problems) else None
+
+
+def _positive(value, where: str, problems) -> float | None:
+    """value as a float when it is a positive finite number, else one problem."""
+    if type(value) in (int, float) and 0 < value < np.inf:
+        return float(value)
+    problems.append(f"{where} must be a positive finite number, got {value!r}")
+    return None
 
 
 def _newmark_from_config(cfg: dict, problems) -> NewmarkConfig | None:
@@ -164,6 +177,17 @@ def run_mms(cfg: dict, out_dir: Path) -> Path:
     problems = []
     _require(cfg, ("degrees", "divisions", "time"), problems)
     nm = _newmark_from_config(cfg, problems)
+    # every entry is checked before the first march
+    for key in (k for k in ("degrees", "divisions") if k in cfg):
+        entries = cfg[key]
+        if not isinstance(entries, list) or not entries:
+            problems.append(f"{key} must be a non-empty list, got {entries!r}")
+            continue
+        for i, v in enumerate(entries):
+            if key == "degrees":
+                _degree_ok(v, f"degrees[{i}]", problems)
+            elif type(v) is not int or v < 1:
+                problems.append(f"divisions[{i}] must be a positive integer, got {v!r}")
     if problems:
         raise ConfigError(problems)
 
@@ -172,11 +196,11 @@ def run_mms(cfg: dict, out_dir: Path) -> Path:
         prev_err = None
         for n in cfg["divisions"]:
             t0 = _time.perf_counter()
-            err, ndof = mms_single(int(n), int(r), nm)
+            err, ndof = mms_single(n, r, nm)
             elapsed = _time.perf_counter() - t0
             h = 1.0 / n
             order = np.nan if prev_err is None else float(np.log2(prev_err / err))
-            rows.append((int(r), h, ndof, err, order, elapsed))
+            rows.append((r, h, ndof, err, order, elapsed))
             prev_err = err
     report = out_dir / "mms_report.csv"
     with open(report, "w", newline="") as fh:
@@ -248,10 +272,9 @@ def _impedance_from_config(cfg: dict, mesh: HexMesh, problems) -> dict[str, floa
         problems.append(f"impedance tags {unknown} not present in mesh (has {sorted(mesh.tags)})")
     good = {}
     for tag, z in imp.items():
-        if type(z) not in (int, float) or not 0 < z < np.inf:
-            problems.append(f"impedance: {tag} must be a positive finite number, got {z!r}")
-        elif tag in mesh.tags:
-            good[tag] = float(z)
+        z = _positive(z, f"impedance: {tag}", problems)
+        if z is not None and tag in mesh.tags:
+            good[tag] = z
     return good
 
 
@@ -329,13 +352,14 @@ def run_solve(cfg: dict, out_dir: Path, run_name: str = "solve", metrics: dict |
     nm = _newmark_from_config(cfg, problems)
     mesh = _mesh_from_config(cfg.get("mesh", {}), problems) if "mesh" in cfg else None
     degree = _degree_from_config(cfg, problems) if "degree" in cfg else None
+    c0, rho0 = (_positive(cfg[k], k, problems) if k in cfg else None for k in ("c0", "rho0"))
     if problems:
         raise ConfigError(problems)
 
     impedance = _impedance_from_config(cfg, mesh, problems)
     _check_points(cfg, mesh, problems)
     space = build_space(mesh, degree)
-    ops = assemble_operators(space, c0=float(cfg["c0"]), rho0=float(cfg["rho0"]), impedance=impedance)
+    ops = assemble_operators(space, c0=c0, rho0=rho0, impedance=impedance)
     loads = _build_loads(cfg, space, nm, problems)
     initial = _initial_from_config(cfg, space, ops.c0, problems)
     if problems:
@@ -365,7 +389,7 @@ SYNTHETIC_FIELDS = {
 def run_fv_source(cfg: dict, out_dir: Path) -> Path:
     problems = []
     _require(cfg, ("rho0",), problems)
-    rho0 = float(cfg.get("rho0", 0.0))
+    rho0 = _positive(cfg["rho0"], "rho0", problems) if "rho0" in cfg else None
     if "fv_file" in cfg:
         mesh, fields = load_fv(cfg["fv_file"])
         fields = [f for f in fields if f.values.ndim == 2]
@@ -475,7 +499,7 @@ def run_curle(cfg: dict, out_dir: Path):
     _require(cfg, ("forces", "observers", "c0"), problems)
     if problems:
         raise ConfigError(problems)
-    c0 = float(cfg["c0"])
+    c0 = _positive(cfg["c0"], "c0", problems)
     histories = _force_histories(cfg["forces"], problems)
     if problems:
         raise ConfigError(problems)

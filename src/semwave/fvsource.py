@@ -64,6 +64,10 @@ class FvMesh:
         return cell, face, np.searchsorted(cell, np.arange(self.num_cells + 1))
 
     def validate(self):
+        for name in ("centers", "volumes", "area", "normal", "midpoint"):
+            bad = np.argwhere(~np.isfinite(getattr(self, name)))
+            if bad.size:  # NaN passes every comparison below
+                raise FvError(f"{name} is not finite at index {bad[0][0]}")
         if np.any(self.volumes <= 0):
             raise FvError("non-positive cell volume")
         if self.num_faces == 0:

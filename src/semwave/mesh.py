@@ -229,12 +229,13 @@ class HexMesh:
             self._bboxes = np.stack([corners.min(axis=1), corners.max(axis=1)])
         return self._bboxes
 
-    def aligned_boxes(self) -> bool:
+    def aligned_boxes(self, x: np.ndarray | None = None) -> bool:
         """Whether every element is an axis-aligned box in reference
         orientation: each corner sits at corner 0's or corner 7's coordinate
         along each axis as CORNER_REF says, to 1e-12 of the largest extent,
-        with corner 0 below corner 7 on every axis."""
-        x = self.corner_coords()
+        with corner 0 below corner 7 on every axis.  x: the corner_coords()
+        of a caller that already holds them."""
+        x = self.corner_coords() if x is None else x
         lo, hi = x[:, :1], x[:, 7:]
         tol = 1e-12 * (hi - lo).max(initial=0.0)
         return bool(np.all(hi > lo) and np.all(np.abs(x - np.where(CORNER_REF < 0, lo, hi)) <= tol))

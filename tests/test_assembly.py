@@ -304,66 +304,105 @@ def _oracle_element_data(space):
     return grads, w3, jac
 
 
-def _dense_oracles(space):
-    """Dense K and C^0..C^2 of the GLL-collocated weak forms."""
+def _oracle_apply(space, u):
+    """K u and C^0..C^2 u of the GLL-collocated weak forms for the columns of
+    u (ndof, m), element by element from the definitions: the dense matrices
+    themselves when u is the identity."""
     grads, w3, jac = _oracle_element_data(space)
-    k = np.zeros((space.ndof, space.ndof))
-    c = np.zeros((3, space.ndof, space.ndof))
+    ku, cu = np.zeros_like(u), np.zeros((3,) + u.shape)
     for e, m in enumerate(space.emap):
         jinv = np.linalg.inv(jac[e])  # (nloc, 3, 3)
         wdet = w3 * np.linalg.det(jac[e])
         metric = jinv @ jinv.transpose(0, 2, 1)  # J^-1 J^-T, all 9 entries
-        blk = np.ix_(m, m)
         for a in range(3):
             for b in range(3):
-                k[blk] += grads[a].T @ ((wdet * metric[:, a, b])[:, None] * grads[b])
+                ku[m] += grads[a].T @ ((wdet * metric[:, a, b])[:, None] * (grads[b] @ u[m]))
             for ell in range(3):
-                c[(ell, *blk)] += grads[a].T * (wdet * jinv[:, a, ell])[None, :]
-    return k, c
+                cu[ell][m] += grads[a].T @ ((wdet * jinv[:, a, ell])[:, None] * u[m])
+    return ku, cu
 
 
 _KERNEL_CASES = (
     [pytest.param("perturbed_mesh", r, False, id=str(r)) for r in (1, 2, 3, 4)]
-    + [pytest.param("graded_mesh", r, True, id=f"graded-{r}") for r in (1, 2, 3, 4)]
+    + [pytest.param("graded_mesh", r, True, id=f"graded-{r}") for r in range(1, 9)]
     + [pytest.param("rotated_mesh", 2, False, id="rotated-2")]
 )
 
 
 @pytest.mark.parametrize("mesh_name, r, box_path", _KERNEL_CASES)
-def test_non_affine_kernels_match_dense_oracle(request, mesh_name, r, box_path):
+def test_non_affine_kernels_match_dense_oracle(request, mesh_name, r, box_path, rng):
     """Both stiffness paths, and the convective kernel, against the dense
-    weak forms: the box GEMM on axis-aligned boxes up to BOX_GEMM_MAX_DEGREE,
-    the sum-factorised kernel on curved and on rotated affine elements."""
+    weak forms: the assembled CSR matrix on axis-aligned boxes, the
+    sum-factorised kernel on curved and on rotated affine elements.  Up to
+    r = 4 on every column; above, where the dense matrices would take
+    hundreds of MB, on six random vectors."""
     space = build_space(request.getfixturevalue(mesh_name), r)
-    assert ("khat" in element_geometry(space)) is box_path
-    k_ref, c_ref = _dense_oracles(space)
-    eye = np.eye(space.ndof)
-    k = np.stack([apply_stiffness(space, col) for col in eye], axis=1)
-    scale = np.abs(k_ref).max()
-    np.testing.assert_allclose(k, k_ref, rtol=0, atol=1e-12 * scale)
-    np.testing.assert_allclose(k, k.T, rtol=0, atol=1e-13 * scale)
-    assert np.abs(k.sum(axis=1)).max() < 1e-12 * scale
+    u = np.eye(space.ndof) if r <= 4 else rng.standard_normal((space.ndof, 6))
+    ku_ref, cu_ref = _oracle_apply(space, u)
+    ku = np.stack([apply_stiffness(space, col) for col in u.T], axis=1)
+    assert ("kcsr" in space._geom) is box_path
+    scale = np.abs(ku_ref).max()
+    np.testing.assert_allclose(ku, ku_ref, rtol=0, atol=1e-12 * scale)
+    sym = u.T @ ku  # K itself for the identity
+    np.testing.assert_allclose(sym, sym.T, rtol=0, atol=1e-13 * (np.abs(u).T @ np.abs(ku)).max())
+    assert np.abs(apply_stiffness(space, np.ones(space.ndof))).max() < 1e-12 * scale
     conv = assemble_convective(space)
     for ell in range(3):
-        c = np.stack([conv.apply(ell, col) for col in eye], axis=1)
-        np.testing.assert_allclose(c, c_ref[ell], rtol=0, atol=1e-12 * np.abs(c_ref[ell]).max())
+        c = np.stack([conv.apply(ell, col) for col in u.T], axis=1)
+        np.testing.assert_allclose(c, cu_ref[ell], rtol=0, atol=1e-12 * np.abs(cu_ref[ell]).max())
 
 
 def test_box_path_stops_at_degree_limit(graded_mesh, monkeypatch, rng):
-    """Above BOX_GEMM_MAX_DEGREE box elements take the sum-factorised kernel,
-    which agrees with the box GEMM there to roundoff."""
+    """Above BOX_CSR_MAX_DEGREE box elements take the sum-factorised kernel,
+    which agrees with the assembled CSR matrix there to roundoff."""
     from semwave import assembly
 
-    r = assembly.BOX_GEMM_MAX_DEGREE + 1
+    r = assembly.BOX_CSR_MAX_DEGREE + 1
     space = build_space(graded_mesh, r)
-    geom = element_geometry(space)
-    assert "g6" in geom and "khat" not in geom
     u = rng.standard_normal(space.ndof)
-    monkeypatch.setattr(assembly, "BOX_GEMM_MAX_DEGREE", r)
+    k_sf = apply_stiffness(space, u)
+    assert "g6" in space._geom and "kcsr" not in space._geom
+    with pytest.raises(ValueError, match=f"axis-aligned box elements of degree <= {r - 1}"):
+        assembly.box_stiffness(space)
+    monkeypatch.setattr(assembly, "BOX_CSR_MAX_DEGREE", r)
     boxed = build_space(graded_mesh, r)
-    assert "khat" in element_geometry(boxed)
-    k_sf, k_box = apply_stiffness(space, u), apply_stiffness(boxed, u)
+    k_box = apply_stiffness(boxed, u)
+    assert "kcsr" in boxed._geom and "g6" not in boxed._geom
     np.testing.assert_allclose(k_box, k_sf, rtol=0, atol=1e-13 * np.abs(k_sf).max())
+
+
+def test_box_stiffness_built_once_per_space(graded_mesh, rng):
+    """K is assembled by the first apply, not by the set-up that never applies
+    it (mass, convective operators), and every later apply reads the same
+    cached matrix."""
+    from semwave.assembly import assemble_mass, box_stiffness
+
+    space = build_space(graded_mesh, 3)
+    assemble_mass(space)
+    assemble_convective(space).apply(0, np.zeros(space.ndof))
+    assert "kcsr" not in element_geometry(space)
+    u = rng.standard_normal(space.ndof)
+    first = apply_stiffness(space, u)
+    k = space._geom["kcsr"]
+    assert k.format == "csr" and box_stiffness(space) is k
+    k.data *= 2.0  # a rebuilt matrix would not carry this
+    np.testing.assert_array_equal(apply_stiffness(space, u), 2.0 * first)
+    assert space._geom["kcsr"] is k
+    assert box_stiffness(build_space(graded_mesh, 3)) is not k
+
+
+def test_box_stiffness_keeps_only_line_couplings(graded_mesh):
+    """Each row of K couples a node only with the nodes on its three GLL
+    lines, and K stores exactly the nonzeros of the dense matrix."""
+    from semwave.assembly import box_stiffness
+
+    space = build_space(graded_mesh, 2)
+    k = box_stiffness(space).tocoo()
+    x = space.node_coords
+    same = np.isclose(x[k.row], x[k.col], rtol=0, atol=1e-12).sum(axis=1)
+    assert np.all(same >= 2)  # differ along at most one axis
+    dense = np.stack([apply_stiffness(space, col) for col in np.eye(space.ndof)], axis=1)
+    assert k.nnz == np.count_nonzero(dense)
 
 
 # -- cached surface quadrature --------------------------------------------

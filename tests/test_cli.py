@@ -275,6 +275,13 @@ def test_bad_monopole_frequency_is_config_error(tmp_path, capsys, frequency):
     assert problems == [f"source(monopole): frequency must be a finite number, got {frequency!r}"]
 
 
+@pytest.mark.parametrize("key", ["c0", "rho0"])
+@pytest.mark.parametrize("value", ["abc", -1.0, 0, float("inf"), None, True])
+def test_solve_bad_c0_or_rho0_is_config_error(tmp_path, capsys, key, value):
+    problems = _solve_problems(tmp_path, capsys, **{key: value})
+    assert problems == [f"{key} must be a positive finite number, got {value!r}"]
+
+
 def test_point_problems_listed_together(tmp_path, capsys):
     problems = _solve_problems(
         tmp_path, capsys,
@@ -320,6 +327,43 @@ def test_mms_report_and_reproducibility(tmp_path):
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["seed"] == 3
     assert "mms_report.csv" in manifest["outputs"]
+
+
+def _mms_problems(tmp_path, capsys, monkeypatch, **extra):
+    """Run `mms` with extra config keys and marching stubbed out; the JSON
+    problem list of the expected configuration error, raised before any march."""
+    marched = []
+    monkeypatch.setattr(cli, "mms_single", lambda *args: marched.append(args))
+    cfg = {"version": "1", "degrees": [1], "divisions": [2], "time": {"dt": 0.01, "t_final": 0.02}, **extra}
+    code = cli.main(["mms", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and err["error"] == "configuration" and not marched
+    return err["problems"]
+
+
+@pytest.mark.parametrize("extra, expected", [
+    ({"degrees": [1, 20]}, "degrees[1] must be an integer in [1, 12], got 20"),
+    ({"degrees": [2.0]}, "degrees[0] must be an integer in [1, 12], got 2.0"),
+    ({"degrees": ["2"]}, "degrees[0] must be an integer in [1, 12], got '2'"),
+    ({"degrees": []}, "degrees must be a non-empty list, got []"),
+    ({"degrees": 2}, "degrees must be a non-empty list, got 2"),
+    ({"divisions": [2, 0]}, "divisions[1] must be a positive integer, got 0"),
+    ({"divisions": [1.5]}, "divisions[0] must be a positive integer, got 1.5"),
+    ({"divisions": [True]}, "divisions[0] must be a positive integer, got True"),
+    ({"divisions": "4"}, "divisions must be a non-empty list, got '4'"),
+])
+def test_mms_bad_degree_or_division_is_config_error(tmp_path, capsys, monkeypatch, extra, expected):
+    assert _mms_problems(tmp_path, capsys, monkeypatch, **extra) == [expected]
+
+
+def test_mms_problems_listed_together(tmp_path, capsys, monkeypatch):
+    problems = _mms_problems(tmp_path, capsys, monkeypatch, degrees=[1, 20, 0], divisions=[2, -1], time={"dt": 0.01})
+    assert problems == [
+        "time: missing required key 't_final'",
+        "degrees[1] must be an integer in [1, 12], got 20",
+        "degrees[2] must be an integer in [1, 12], got 0",
+        "divisions[1] must be a positive integer, got -1",
+    ]
 
 
 def test_mms_load_is_scaled_once_built_load(monkeypatch):
@@ -376,6 +420,14 @@ def test_fv_source_bad_field(tmp_path, capsys):
     cfg = {"version": "1", "rho0": 1.0, "synthetic": {"box": [[0, 1]] * 3, "div": [2, 2, 2], "field": "vortex"}}
     assert cli.main(["fv-source", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
     assert "shear_xy" in " ".join(json.loads(capsys.readouterr().err)["problems"])
+
+
+@pytest.mark.parametrize("rho0", ["abc", -1.0, float("nan"), None])
+def test_fv_source_bad_rho0_is_config_error(tmp_path, capsys, rho0):
+    cfg = {"version": "1", "rho0": rho0, "synthetic": {"box": [[0, 1]] * 3, "div": [2, 2, 2], "field": "shear_xy"}}
+    assert cli.main(["fv-source", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["problems"] == [f"rho0 must be a positive finite number, got {rho0!r}"]
 
 
 def test_project_pipeline(tmp_path):
@@ -439,6 +491,15 @@ def _write_forces(path, times):
         for t in times:
             w.writerow([t, 0.0, 0.0, 1.0])
     return str(path)
+
+
+@pytest.mark.parametrize("c0", ["abc", -343.0, 0, float("inf")])
+def test_curle_bad_c0_is_config_error(tmp_path, capsys, c0):
+    force = _write_forces(tmp_path / "force.csv", np.arange(10) * 0.01)
+    cfg = {"version": "1", "c0": c0, "forces": [{"file": force}], "observers": {"a": [1.0, 0.0, 0.0]}}
+    assert cli.main(["curle", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["problems"] == [f"c0 must be a positive finite number, got {c0!r}"]
 
 
 @pytest.mark.parametrize("case", ["missing", "lengths", "dt"])

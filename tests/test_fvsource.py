@@ -83,6 +83,28 @@ def test_non_unit_normal_rejected():
         FvMesh(mesh.centers, mesh.volumes, mesh.owner, mesh.neighbor, mesh.area, normal, mesh.midpoint)
 
 
+@pytest.mark.parametrize("name, index", [
+    ("centers", 5), ("volumes", 2), ("area", 7), ("normal", 11), ("midpoint", 0),
+])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_geometry_rejected(name, index, value):
+    mesh = generate_box_fv(UNIT_BOX, (2, 2, 2))
+    arrays = {k: getattr(mesh, k).copy() for k in ("centers", "volumes", "area", "normal", "midpoint")}
+    arrays[name][index] = value
+    with pytest.raises(FvError, match=f"^{name} is not finite at index {index}$"):
+        FvMesh(owner=mesh.owner, neighbor=mesh.neighbor, **arrays)
+
+
+def test_load_rejects_non_finite_geometry(tmp_path):
+    """json writes and reads NaN, so a corrupt file would otherwise load."""
+    mesh = generate_box_fv(UNIT_BOX, (2, 2, 2))
+    path = tmp_path / "fv.json"
+    save_fv(path, mesh, None)
+    path.write_text(path.read_text().replace('"area": 0.25', '"area": NaN', 1))
+    with pytest.raises(FvError, match="area is not finite at index 0"):
+        load_fv(path)
+
+
 def test_field_length_validation():
     mesh = generate_box_fv(UNIT_BOX, (2, 2, 2))
     with pytest.raises(FvError):
