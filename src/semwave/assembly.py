@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from .gll import diff_matrix
-from .mesh import FACE_TANGENTS, map_cofactors, shape_gradients
+from .mesh import FACE_TANGENTS, map_cofactors, map_jacobians
 from .space import SpectralSpace, basis_rows, face_local_nodes
 
 
@@ -176,9 +176,8 @@ def _surface_rules(space: SpectralSpace) -> dict[str, tuple[np.ndarray, np.ndarr
         weights = np.empty((elem.size, w2.size))
         for f, axes in enumerate(FACE_TANGENTS):
             on_f, local = face == f, face_local_nodes(space.degree, f)
-            dshape = shape_gradients(ref[local])  # (p*p, 8, 3)
             # the two in-face columns of J at the face nodes, (faces, p*p, 3) each
-            t0, t1 = (dshape[:, :, a] @ corners[elem[on_f]] for a in axes)
+            t0, t1 = np.moveaxis(map_jacobians(corners[elem[on_f]], ref[local])[:, list(axes)], 0, -1)
             dofs[on_f] = space.emap[elem[on_f, None], local]
             weights[on_f] = w2 * np.linalg.norm(np.cross(t0, t1), axis=-1)
         geom["surface"] = {t: (dofs[tag == t].ravel(), weights[tag == t].ravel()) for t in space.mesh.tags}

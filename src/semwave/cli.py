@@ -47,12 +47,17 @@ def _require(cfg: dict, keys, problems, where="config"):
 def load_config(path) -> dict:
     with open(path) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ConfigError([f"config must be a JSON object, got {cfg!r}"])
     if cfg.get("version") != CONFIG_VERSION:
         raise ConfigError([f"unsupported config version {cfg.get('version')!r}"])
     return cfg
 
 
 def _mesh_from_config(spec: dict, problems) -> HexMesh | None:
+    if not isinstance(spec, dict):
+        problems.append(f"mesh: must be an object, got {spec!r}")
+        return None
     if "file" in spec:
         path = Path(spec["file"])
         if not path.exists():
@@ -63,11 +68,21 @@ def _mesh_from_config(spec: dict, problems) -> HexMesh | None:
     if gen is None:
         problems.append("mesh: need either 'file' or 'generator'")
         return None
+    if not isinstance(gen, dict):
+        problems.append(f"mesh.generator: must be an object, got {gen!r}")
+        return None
     missing = [k for k in ("box", "div") if k not in gen]
     if missing:
         problems.append(f"mesh.generator: missing {missing}")
         return None
-    return generate_box_mesh(gen["box"], gen["div"], gen.get("tags"))
+    box, div, before = gen["box"], gen["div"], len(problems)
+    if not (isinstance(box, list) and len(box) == 3 and all(
+            isinstance(b, list) and len(b) == 2 and all(type(v) in (int, float) and np.isfinite(v) for v in b)
+            and b[0] < b[1] for b in box)):
+        problems.append(f"mesh.generator: box must be 3 [lo, hi] pairs of finite numbers, lo < hi, got {box!r}")
+    if not (isinstance(div, list) and len(div) == 3 and all(type(n) is int and n >= 1 for n in div)):
+        problems.append(f"mesh.generator: div must be 3 positive integers, got {div!r}")
+    return None if len(problems) > before else generate_box_mesh(box, div, gen.get("tags"))
 
 
 def _degree_ok(r, where: str, problems) -> bool:
@@ -92,22 +107,41 @@ def _positive(value, where: str, problems) -> float | None:
     return None
 
 
+def _finite(value, where: str, problems) -> float | None:
+    """value as a float when it is a finite number, else one problem."""
+    if type(value) in (int, float) and np.isfinite(value):
+        return float(value)
+    problems.append(f"{where} must be a finite number, got {value!r}")
+    return None
+
+
+def _count(value, where: str, problems, least: int = 1) -> int | None:
+    """value when it is an integer >= least, 1 (positive) or 0 (non-negative), else one problem."""
+    if type(value) is int and value >= least:
+        return value
+    problems.append(f"{where} must be a {'positive' if least else 'non-negative'} integer, got {value!r}")
+    return None
+
+
 def _newmark_from_config(cfg: dict, problems) -> NewmarkConfig | None:
-    tc = cfg.get("time", {})
+    """The march of cfg's time block and snapshot_stride; each bad entry is one
+    problem, and a missing time block is left to the caller's _require."""
+    if "time" not in cfg:
+        return None
+    tc, before = cfg["time"], len(problems)
+    if not isinstance(tc, dict):
+        problems.append(f"time: must be an object, got {tc!r}")
+        return None
     _require(tc, ("dt", "t_final"), problems, "time")
-    if problems:
+    kw = {k: _positive(tc[k], f"time: {k}", problems) for k in ("dt", "t_final", "cg_tol") if k in tc}
+    kw.update({k: _finite(tc[k], f"time: {k}", problems) for k in ("beta", "gamma") if k in tc})
+    if "cg_maxiter" in tc:
+        kw["cg_maxiter"] = _count(tc["cg_maxiter"], "time: cg_maxiter", problems)
+    kw["snapshot_stride"] = _count(cfg.get("snapshot_stride", 0), "snapshot_stride", problems, least=0)
+    if len(problems) > before:
         return None
     try:
-        return NewmarkConfig(
-            dt=float(tc["dt"]),
-            t_final=float(tc["t_final"]),
-            beta=float(tc.get("beta", 0.25)),
-            gamma=float(tc.get("gamma", 0.5)),
-            cg_tol=float(tc.get("cg_tol", 1e-10)),
-            cg_maxiter=int(tc.get("cg_maxiter", 1000)),
-            snapshot_stride=int(cfg.get("snapshot_stride", 0)),
-            probes=cfg.get("probes", {}),
-        )
+        return NewmarkConfig(**kw, probes=cfg.get("probes", {}))
     except ValueError as exc:
         problems.append(f"time: {exc}")
         return None
@@ -186,8 +220,8 @@ def run_mms(cfg: dict, out_dir: Path) -> Path:
         for i, v in enumerate(entries):
             if key == "degrees":
                 _degree_ok(v, f"degrees[{i}]", problems)
-            elif type(v) is not int or v < 1:
-                problems.append(f"divisions[{i}] must be a positive integer, got {v!r}")
+            else:
+                _count(v, f"divisions[{i}]", problems)
     if problems:
         raise ConfigError(problems)
 
@@ -228,9 +262,7 @@ def _build_loads(cfg: dict, space, nm: NewmarkConfig, problems):
         if missing:
             problems.append(f"source(monopole): missing {missing}")
             return None
-        f0 = src["frequency"]
-        if type(f0) not in (int, float) or not np.isfinite(f0):
-            problems.append(f"source(monopole): frequency must be a finite number, got {f0!r}")
+        f0 = _finite(src["frequency"], "source(monopole): frequency", problems)
         if problems:  # the run stops here; a position _check_points rejected would raise below
             return None
         unit = point_source_load(space, src["position"], 1.0)
@@ -241,9 +273,7 @@ def _build_loads(cfg: dict, space, nm: NewmarkConfig, problems):
             problems.append("source(projected): missing 'files' list of load vectors")
             return None
         vecs, bad = [], []
-        stride = src.get("stride", 1)
-        if type(stride) is not int or stride < 1:
-            bad.append(f"source(projected): stride must be a positive integer, got {stride!r}")
+        stride = _count(src.get("stride", 1), "source(projected): stride", bad)
         for f in files:
             if not Path(f).is_file():
                 bad.append(f"source(projected): load file {f} does not exist")
@@ -319,9 +349,7 @@ def _initial_from_config(cfg: dict, space, c0: float, problems):
         problems.append(f"initial: axis must be 0, 1 or 2, got {axis!r}")
     values = {key: init.get(key, 1.0) for key in ("center", "sigma", "direction")}
     for key, value in values.items():
-        if type(value) not in (int, float) or not np.isfinite(value):
-            problems.append(f"initial: {key} must be a finite number, got {value!r}")
-        elif key == "sigma" and value <= 0:
+        if _finite(value, f"initial: {key}", problems) is not None and key == "sigma" and value <= 0:
             problems.append(f"initial: sigma must be positive, got {value!r}")
     if len(problems) > before:
         return None
@@ -350,7 +378,7 @@ def run_solve(cfg: dict, out_dir: Path, run_name: str = "solve", metrics: dict |
     problems = []
     _require(cfg, ("rho0", "c0", "mesh", "degree", "time"), problems)
     nm = _newmark_from_config(cfg, problems)
-    mesh = _mesh_from_config(cfg.get("mesh", {}), problems) if "mesh" in cfg else None
+    mesh = _mesh_from_config(cfg["mesh"], problems) if "mesh" in cfg else None
     degree = _degree_from_config(cfg, problems) if "degree" in cfg else None
     c0, rho0 = (_positive(cfg[k], k, problems) if k in cfg else None for k in ("c0", "rho0"))
     if problems:
@@ -427,7 +455,7 @@ def run_fv_source(cfg: dict, out_dir: Path) -> Path:
 def run_project(cfg: dict, out_dir: Path):
     problems = []
     _require(cfg, ("fv_file", "mesh", "degree"), problems)
-    mesh = _mesh_from_config(cfg.get("mesh", {}), problems) if "mesh" in cfg else None
+    mesh = _mesh_from_config(cfg["mesh"], problems) if "mesh" in cfg else None
     degree = _degree_from_config(cfg, problems) if "degree" in cfg else None
     if problems:
         raise ConfigError(problems)

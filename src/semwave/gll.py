@@ -72,13 +72,6 @@ def tensor_rule(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return points, ((w[None, :] * w[:, None])[None] * w[:, None, None]).ravel()
 
 
-def tensor_basis(lv: np.ndarray) -> np.ndarray:
-    """Tensor basis at the points of a tensor rule, (n^3, p^3) in the ordering of
-    tensor_rule and of the local nodes, from 1D values lv[point, node] (n, p)."""
-    n, p = lv.shape
-    return np.einsum("ia,jb,kc->kjicba", lv, lv, lv).reshape(n**3, p**3)
-
-
 def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     diff = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(diff, 1.0)

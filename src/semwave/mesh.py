@@ -8,13 +8,13 @@ Conventions (fixed for file interop):
 * The mesh file is JSON with a mandatory ``"version": "1"`` field and
   ``vertices``, ``elements``, ``boundary`` arrays.
 
-Volume quantities of the element map come from one routine:
-``map_cofactors`` gives det J and the cofactors of J = dx/dref (the rows of
-det(J) J^-1), from ``map_jacobians``.  Volume weights, the stiffness and
-convective metrics, the Gauss element rule, the corner check and
-``HexMesh.jacobian`` all call it.  The surface rule takes the two in-face
-columns of J from ``shape_gradients``; the Newton point inversion solves
-with J directly.
+The trilinear map is known to this module alone; other modules reach it
+through ``map_points`` (x), ``map_jacobians`` (J = dx/dref) and
+``map_cofactors`` (det J and the cofactors of J, the rows of det(J) J^-1).
+Node and Gauss-point coordinates come from ``map_points``; volume weights,
+the metrics, the Gauss rule and the corner check from ``map_cofactors``; the
+surface rule's in-face columns of J from ``map_jacobians``.  Only the Newton
+point inversion evaluates the shape functions itself.
 
 Point location has one path, ``HexMesh.locate_points``, for probes, point
 sources, evaluation and the sampled FV coupling.  A tie on a shared face goes
@@ -83,6 +83,12 @@ def shape_gradients(ref: np.ndarray) -> np.ndarray:
         others = [a for a in range(3) if a != d]
         grad[..., d] = CORNER_REF[:, d] * terms[..., others[0]] * terms[..., others[1]]
     return grad / 8.0
+
+
+def map_points(corners: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """x of the trilinear maps of corners (ne, 8, 3) at the reference points
+    ref (nq, 3), shape (ne, nq, 3)."""
+    return np.einsum("qc,ecx->eqx", shape_functions(ref), corners)
 
 
 def map_jacobians(corners: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -211,17 +217,7 @@ class HexMesh:
     # -- geometry ---------------------------------------------------------
 
     def map_to_physical(self, p: RefPoint) -> np.ndarray:
-        n = shape_functions(p.xi)
-        return n @ self.corner_coords(p.element)
-
-    def jacobian(self, p: RefPoint) -> tuple[np.ndarray, float]:
-        """(J, det J) of the trilinear map at p, J[x, d] = dx/d(ref_d)."""
-        corners, ref = self.corner_coords(p.element)[None], np.reshape(p.xi, (1, 3))
-        jac = map_jacobians(corners, ref)[:, :, 0, 0]
-        det = float(map_cofactors(corners, ref)[1][0, 0])
-        if det <= 0:
-            raise DegenerateElementError(f"non-positive Jacobian in element {p.element}")
-        return jac, det
+        return map_points(self.corner_coords(p.element)[None], np.reshape(p.xi, (1, 3)))[0, 0]
 
     def element_bboxes(self) -> np.ndarray:
         if self._bboxes is None:

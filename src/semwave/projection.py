@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from .fvsource import FvMesh
 from .gll import lagrange_all
 from .newmark import pcg
-from .space import SpectralField, SpectralSpace, _gauss_rule, basis_rows
+from .space import SpectralField, SpectralSpace, _gauss_rule, basis_rows, tensor_rows
 
 
 @dataclass
@@ -141,8 +141,7 @@ def _clipped_entries(space: SpectralSpace, clo, chi, cells, gx, gw):
         x = 0.5 * (lo + hi)[:, None, :] + 0.5 * d[:, None, :] * gx[None, :, None]  # (n, g, 3)
         xi = 2.0 * (x - elo[e][:, None, :]) / (ehi[e] - elo[e])[:, None, :] - 1.0
         axis_int = np.einsum("na,g,ngap->nap", 0.5 * d, gw, lagrange_all(space.rule, xi))
-        vals = np.einsum("nk,nj,ni->nkji", axis_int[:, 2], axis_int[:, 1], axis_int[:, 0])
-        yield e, c, vals.reshape(e.size, space.nloc)
+        yield e, c, tensor_rows(axis_int)
 
 
 def assemble_coupling(space: SpectralSpace, fvmesh: FvMesh, points_per_axis: int = 3) -> CouplingMatrix:

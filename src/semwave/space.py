@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gll import GllRule, gll_rule, lagrange_all, tensor_basis, tensor_rule
-from .mesh import CORNER_REF, FACE_AXIS, HexMesh, RefPoint, group_rows, map_cofactors, shape_functions
+from .gll import GllRule, gll_rule, lagrange_all, tensor_rule
+from .mesh import CORNER_REF, FACE_AXIS, HexMesh, group_rows, map_cofactors, map_points
 
 
 @dataclass
@@ -30,7 +30,6 @@ class SpectralSpace:
     ndof: int
     emap: np.ndarray  # (ne, (r+1)^3) global DOF per local node
     node_coords: np.ndarray  # (ndof, 3)
-    boundary_dofs: dict[str, np.ndarray]
     _geom: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -51,8 +50,7 @@ def build_space(mesh: HexMesh, r: int) -> SpectralSpace:
     rule = gll_rule(r)
     p = r + 1
     ref = tensor_rule(rule.nodes, rule.weights)[0]  # (nloc, 3), xi fastest
-    corners = mesh.corner_coords()  # (ne, 8, 3)
-    phys = np.einsum("qc,ecx->eqx", shape_functions(ref), corners).reshape(-1, 3)
+    phys = map_points(mesh.corner_coords(), ref).reshape(-1, 3)
 
     # corner weights of each local node: (i or r - i) per axis, (nloc, 8)
     q = np.arange(p**3)
@@ -63,16 +61,7 @@ def build_space(mesh: HexMesh, r: int) -> SpectralSpace:
     keys.sort(axis=-1)
     ids, first = group_rows(keys.reshape(-1, 8))
     emap = ids.reshape(mesh.num_elements, -1)
-
-    elem, face, tag = mesh.boundary_arrays()
-    local = np.stack([face_local_nodes(r, f) for f in range(6)])
-    face_dofs = emap[elem[:, None], local[face]]
-    bdofs = {t: np.unique(face_dofs[tag == t]) for t in dict.fromkeys(tag.tolist())}
-
-    return SpectralSpace(
-        mesh=mesh, degree=r, rule=rule, ndof=first.size,
-        emap=emap, node_coords=phys[first], boundary_dofs=bdofs,
-    )
+    return SpectralSpace(mesh=mesh, degree=r, rule=rule, ndof=first.size, emap=emap, node_coords=phys[first])
 
 
 def face_local_nodes(r: int, f: int) -> np.ndarray:
@@ -106,16 +95,17 @@ def interpolate(space: SpectralSpace, g) -> SpectralField:
     return SpectralField(space, vals)
 
 
+def tensor_rows(lv: np.ndarray) -> np.ndarray:
+    """Tensor products of per-axis values lv (n, 3, p), shape (n, p^3): entry
+    i + p j + p^2 k of row n is lv[n, 0, i] lv[n, 1, j] lv[n, 2, k], in the
+    local node ordering."""
+    return np.einsum("ni,nj,nk->nkji", lv[:, 0], lv[:, 1], lv[:, 2]).reshape(len(lv), lv.shape[-1] ** 3)
+
+
 def basis_rows(space: SpectralSpace, xi: np.ndarray) -> np.ndarray:
     """Values of the nloc element-local basis functions at reference points
     xi (n, 3), shape (n, nloc): one lagrange_all call for every point and axis."""
-    lv = lagrange_all(space.rule, xi)  # (n, 3, r+1)
-    return np.einsum("ni,nj,nk->nkji", lv[:, 0], lv[:, 1], lv[:, 2]).reshape(len(xi), space.nloc)
-
-
-def basis_at(space: SpectralSpace, p: RefPoint) -> np.ndarray:
-    """Values of the nloc element-local basis functions at a reference point."""
-    return basis_rows(space, np.reshape(p.xi, (1, 3)))[0]
+    return tensor_rows(lagrange_all(space.rule, xi))
 
 
 def evaluate(space: SpectralSpace, field: SpectralField, x) -> float:
@@ -128,13 +118,12 @@ def evaluate(space: SpectralSpace, field: SpectralField, x) -> float:
 
 def _gauss_rule(space: SpectralSpace, points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tensor Gauss-Legendre rule of `points` points per axis on every element:
-    (basis (points^3, nloc), wdet (ne, points^3) = weight times det J,
-    physical points (ne, points^3, 3)), point ordering xi fastest."""
-    gx, gw = np.polynomial.legendre.leggauss(points)
-    ref, w3 = tensor_rule(gx, gw)
+    (basis (points^3, nloc) from basis_rows, wdet (ne, points^3) = weight times
+    det J from mesh.map_cofactors, physical points (ne, points^3, 3) from
+    mesh.map_points), point ordering xi fastest."""
+    ref, w3 = tensor_rule(*np.polynomial.legendre.leggauss(points))
     corners = space.mesh.corner_coords()
-    xq = np.einsum("qc,ecx->eqx", shape_functions(ref), corners)
-    return tensor_basis(lagrange_all(space.rule, gx)), w3 * map_cofactors(corners, ref)[1], xq
+    return basis_rows(space, ref), w3 * map_cofactors(corners, ref)[1], map_points(corners, ref)
 
 
 def l2_error(space: SpectralSpace, field: SpectralField, exact, points: int | None = None) -> float:

@@ -562,6 +562,75 @@ def test_project_projects_each_component_once(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "pr" / "conservation_report.json").read_text()) == expected
 
 
+def _time_problems(tmp_path, capsys, monkeypatch, command, time, **extra):
+    """The problem list of `solve` on a one-element cube, or of `mms` with
+    marching stubbed out, whose time block is updated by time."""
+    if command == "mms":
+        return _mms_problems(tmp_path, capsys, monkeypatch, time={"dt": 0.01, "t_final": 0.02, **time}, **extra)
+    return _solve_problems(tmp_path, capsys, time={**_SOLVE_1X1["time"], **time}, **extra)
+
+
+@pytest.mark.parametrize("command", ["solve", "mms"])
+@pytest.mark.parametrize("time, extra, expected", [
+    ({"t_final": float("inf")}, {}, "time: t_final must be a positive finite number, got inf"),
+    ({"dt": [0.01]}, {}, "time: dt must be a positive finite number, got [0.01]"),
+    ({"dt": True}, {}, "time: dt must be a positive finite number, got True"),
+    ({"cg_maxiter": 0.5}, {}, "time: cg_maxiter must be a positive integer, got 0.5"),
+    ({"beta": "abc"}, {}, "time: beta must be a finite number, got 'abc'"),
+    ({}, {"snapshot_stride": -3}, "snapshot_stride must be a non-negative integer, got -3"),
+], ids=["t_final-inf", "dt-list", "dt-bool", "cg_maxiter-float", "beta-str", "snapshot_stride-negative"])
+def test_bad_time_entry_is_config_error(tmp_path, capsys, monkeypatch, command, time, extra, expected):
+    assert _time_problems(tmp_path, capsys, monkeypatch, command, time, **extra) == [expected]
+
+
+@pytest.mark.parametrize("command", ["solve", "mms"])
+def test_time_problems_listed_together(tmp_path, capsys, monkeypatch, command):
+    time = {"dt": True, "t_final": float("inf"), "cg_maxiter": 0.5}
+    assert _time_problems(tmp_path, capsys, monkeypatch, command, time, snapshot_stride=-3) == [
+        "time: dt must be a positive finite number, got True",
+        "time: t_final must be a positive finite number, got inf",
+        "time: cg_maxiter must be a positive integer, got 0.5",
+        "snapshot_stride must be a non-negative integer, got -3",
+    ]
+
+
+def test_time_block_not_an_object_is_config_error(tmp_path, capsys):
+    assert _solve_problems(tmp_path, capsys, time=[1]) == ["time: must be an object, got [1]"]
+
+
+def _mesh_problems(tmp_path, capsys, command, cfg):
+    """The problem list of `solve` or `project` on the config cfg, written as JSON."""
+    if isinstance(cfg, dict) and command == "project":
+        cfg = {"version": "1", "fv_file": str(tmp_path / "fv_source.json"), "degree": 1, "mesh": cfg["mesh"]}
+    code = cli.main([command, "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and err["error"] == "configuration"
+    return err["problems"]
+
+
+_GEN = _SOLVE_1X1["mesh"]["generator"]
+
+
+@pytest.mark.parametrize("command", ["solve", "project"])
+@pytest.mark.parametrize("mesh, expected", [
+    ([1], "mesh: must be an object, got [1]"),
+    ({"generator": [1]}, "mesh.generator: must be an object, got [1]"),
+    ({"generator": {**_GEN, "box": [[0, 1]]}},
+     "mesh.generator: box must be 3 [lo, hi] pairs of finite numbers, lo < hi, got [[0, 1]]"),
+    ({"generator": {**_GEN, "box": [[0, 1], [1, 0], [0, 1]]}},
+     "mesh.generator: box must be 3 [lo, hi] pairs of finite numbers, lo < hi, got [[0, 1], [1, 0], [0, 1]]"),
+    ({"generator": {**_GEN, "div": [0, 1, 1]}}, "mesh.generator: div must be 3 positive integers, got [0, 1, 1]"),
+], ids=["mesh-list", "generator-list", "box-short", "box-reversed", "div-zero"])
+def test_bad_mesh_block_is_config_error(tmp_path, capsys, command, mesh, expected):
+    assert _mesh_problems(tmp_path, capsys, command, {**_SOLVE_1X1, "mesh": mesh}) == [expected]
+
+
+@pytest.mark.parametrize("command", ["solve", "project"])
+def test_config_not_an_object_is_config_error(tmp_path, capsys, command):
+    assert _mesh_problems(tmp_path, capsys, command, [_SOLVE_1X1]) == [
+        f"config must be a JSON object, got {[_SOLVE_1X1]!r}"]
+
+
 def test_newmark_from_config_defaults():
     problems = []
     nm = cli._newmark_from_config({"time": {"dt": 0.1, "t_final": 1.0}}, problems)

@@ -14,6 +14,8 @@ from semwave.mesh import (
     RefPoint,
     generate_box_mesh,
     map_cofactors,
+    map_jacobians,
+    map_points,
     shape_functions,
     shape_gradients,
 )
@@ -113,16 +115,32 @@ def test_map_scaled_face_midpoint():
     np.testing.assert_allclose(x, [2.0, 1.0, 1.0], atol=1e-14)
 
 
+def test_map_points_match_shape_functions(perturbed_mesh, rng):
+    ref = rng.uniform(-1, 1, (7, 3))
+    corners = perturbed_mesh.corner_coords()
+    x = map_points(corners, ref)
+    assert x.shape == (perturbed_mesh.num_elements, 7, 3)
+    for e in (0, perturbed_mesh.num_elements - 1):
+        np.testing.assert_allclose(x[e], shape_functions(ref) @ corners[e], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(x[e, 3], perturbed_mesh.map_to_physical(RefPoint(e, ref[3])))
+
+
+def _jacobian(mesh, e, xi):
+    """(J, det J) of element e's map at the reference point xi, J[x, d] = dx/d(ref_d)."""
+    corners, ref = mesh.corner_coords(e)[None], np.reshape(xi, (1, 3))
+    return map_jacobians(corners, ref)[:, :, 0, 0], float(map_cofactors(corners, ref)[1][0, 0])
+
+
 def test_jacobian_unit_cube():
     mesh = generate_box_mesh(UNIT_BOX, (1, 1, 1))
-    jac, det = mesh.jacobian(RefPoint(0, np.zeros(3)))
+    jac, det = _jacobian(mesh, 0, np.zeros(3))
     np.testing.assert_allclose(jac, 0.5 * np.eye(3), atol=1e-14)
     assert abs(det - 0.125) < 1e-14
 
 
 def test_jacobian_stretched_box():
     mesh = generate_box_mesh([(0, 2), (0, 1), (0, 1)], (1, 1, 1))
-    _, det = mesh.jacobian(RefPoint(0, np.zeros(3)))
+    _, det = _jacobian(mesh, 0, np.zeros(3))
     assert abs(det - 0.25) < 1e-14
 
 
@@ -134,8 +152,8 @@ def test_sheared_hex_has_varying_jacobian():
     top = (verts[:, 2] > 0.5) & (verts[:, 0] > 0.5) & (verts[:, 1] > 0.5)
     verts[top, 0] += 0.3
     sheared = HexMesh(verts, mesh.elements, mesh.boundary)
-    j1, _ = sheared.jacobian(RefPoint(0, np.array([0.0, 0.0, -0.9])))
-    j2, _ = sheared.jacobian(RefPoint(0, np.array([0.0, 0.0, 0.9])))
+    j1, _ = _jacobian(sheared, 0, [0.0, 0.0, -0.9])
+    j2, _ = _jacobian(sheared, 0, [0.0, 0.0, 0.9])
     assert not np.allclose(j1, j2)
 
 

@@ -278,7 +278,7 @@ def _sampled_oracle(space, fv, cell, npts):
     """Column of one cell by the pyramid sampling rule, each sample located
     and weighted on its own; returns (column, samples outside the mesh)."""
     from semwave.projection import _cell_samples
-    from semwave.space import basis_at
+    from semwave.space import basis_rows
 
     gx, gw = np.polynomial.legendre.leggauss(npts)
     faces = sorted(np.nonzero((fv.owner == cell) | (fv.neighbor == cell))[0].tolist())
@@ -290,7 +290,7 @@ def _sampled_oracle(space, fv, cell, npts):
         if ref is None:
             outside += 1
             continue
-        np.add.at(col, space.emap[ref.element], w * basis_at(space, ref))
+        np.add.at(col, space.emap[ref.element], w * basis_rows(space, ref.xi[None])[0])
     return col, outside
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from semwave import build_space, evaluate, generate_box_mesh, interpolate, l2_error
 from semwave.gll import lagrange_all
 from semwave.mesh import RefPoint
-from semwave.space import SpectralField, basis_at, basis_rows, face_local_nodes, write_vtk
+from semwave.assembly import surface_quadrature
+from semwave.space import SpectralField, basis_rows, face_local_nodes, write_vtk
 
 UNIT_BOX = [(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
 
@@ -127,10 +128,15 @@ def test_face_local_nodes_fixed_axis():
         assert loc // (p * p) == 0
 
 
+def _boundary_dofs(space, tag):
+    """The distinct DOFs on the faces tagged tag, from the surface rule."""
+    return np.unique(surface_quadrature(space, tag)[0])
+
+
 def test_boundary_dofs_counts(cube2_mesh):
     space = build_space(cube2_mesh, 2)
     for tag in ("xmin", "zmax"):
-        assert len(space.boundary_dofs[tag]) == 25  # (2*2+1)^2 nodes per side
+        assert len(_boundary_dofs(space, tag)) == 25  # (2*2+1)^2 nodes per side
 
 
 @given(
@@ -227,9 +233,9 @@ def test_topological_numbering_matches_coordinate_hash(request, which, r):
     emap, coords = _coordinate_hash_numbering(mesh, r)
     np.testing.assert_array_equal(space.emap, emap)
     np.testing.assert_array_equal(space.node_coords, coords)
-    for tag, dofs in space.boundary_dofs.items():
+    for tag in mesh.tags:
         faces = [emap[e, face_local_nodes(r, f)] for e, f, t in mesh.boundary if t == tag]
-        np.testing.assert_array_equal(dofs, np.unique(np.concatenate(faces)))
+        np.testing.assert_array_equal(_boundary_dofs(space, tag), np.unique(np.concatenate(faces)))
 
 
 def _rotations():
@@ -287,13 +293,13 @@ def test_reoriented_elements_still_share_dofs(perturbed_mesh, r):
     np.testing.assert_allclose(mass, assemble_mass(original).sum(), rtol=1e-13)
     if r > 1:
         np.testing.assert_allclose(mass, 1.5, rtol=1e-13)
-    for tag, dofs in original.boundary_dofs.items():
-        assert space.boundary_dofs[tag].size == dofs.size
+    for tag in original.mesh.tags:
+        assert _boundary_dofs(space, tag).size == _boundary_dofs(original, tag).size
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_basis_rows_match_per_point_basis(unit_mesh, rng, r):
-    """basis_rows equals basis_at and the per-point tensor product of the 1D
+    """basis_rows equals the per-point tensor product of the 1D
     cardinal values, is the identity at the local nodes and reproduces a
     degree-r tensor polynomial at random points."""
     space = build_space(unit_mesh, r)
@@ -302,7 +308,6 @@ def test_basis_rows_match_per_point_basis(unit_mesh, rng, r):
     for x, row in zip(xi, rows):
         lx, ly, lz = (lagrange_all(space.rule, c) for c in x)
         np.testing.assert_array_equal(row, np.einsum("i,j,k->kji", lx, ly, lz).ravel())
-        np.testing.assert_array_equal(row, basis_at(space, RefPoint(0, x)))
     np.testing.assert_array_equal(rows[20:20 + space.nloc], np.eye(space.nloc))
     nodes = space.local_nodes_ref()
 
