@@ -3,9 +3,8 @@
 Subcommands: mms, solve, project, fv-source, curle, mesh-gen.  Every run
 writes a manifest (config echo plus SHA-256 of each output file); a solve
 manifest also holds a ``metrics`` block (ndof, nsteps, set-up and march
-wall times).  All
-physical constants must be explicit in the config; there are no hidden
-defaults for rho0, c0 or Z.
+wall times).  All physical constants must be explicit in the config; there
+are no hidden defaults for rho0, c0 or Z.
 """
 from __future__ import annotations
 
@@ -13,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time as _time
 from pathlib import Path
@@ -20,11 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import manufactured
-from .assembly import assemble_operators, neumann_load, point_source_load, volume_load
+from .assembly import assemble_convective, assemble_operators, neumann_load, point_source_load, volume_load
 from .curle import CurleError, ForceHistory, curle_pressure, psd
-from .fvsource import generate_box_fv, lighthill_divergence, load_fv, sample_velocity, save_fv, spanwise_average
+from .fvsource import (FvError, generate_box_fv, lighthill_divergence, load_fv, sample_velocity, save_fv,
+                       spanwise_average)
 from .gll import MAX_DEGREE
-from .mesh import HexMesh, generate_box_mesh
+from .mesh import DEFAULT_BOX_TAGS, HexMesh, MeshError, generate_box_mesh
 from .newmark import NewmarkConfig, run, write_probe_csv
 from .projection import aeroacoustic_load, build_projection
 from .space import SpectralField, build_space, interpolate, l2_error
@@ -38,12 +39,6 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.problems))
 
 
-def _require(cfg: dict, keys, problems, where="config"):
-    for key in keys:
-        if key not in cfg:
-            problems.append(f"{where}: missing required key {key!r}")
-
-
 def load_config(path) -> dict:
     with open(path) as fh:
         cfg = json.load(fh)
@@ -54,97 +49,148 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _mesh_from_config(spec: dict, problems) -> HexMesh | None:
-    if not isinstance(spec, dict):
-        problems.append(f"mesh: must be an object, got {spec!r}")
+def _finite(v) -> bool:
+    """Whether v is a finite JSON number; a bool is not one."""
+    return type(v) is int or (type(v) is float and math.isfinite(v))
+
+
+# rule -> (test of a present value, its problem); the problem names the value, and its place as
+# `where` ("time: dt", "degrees[1]", or the row's label) or as the dotted `path` ("mesh.generator")
+RULES = {
+    "object": (lambda v: isinstance(v, dict), "{path}: must be an object, got {value!r}"),
+    "list": (lambda v: isinstance(v, list) and len(v) > 0, "{where} must be a non-empty list, got {value!r}"),
+    "finite": (_finite, "{where} must be a finite number, got {value!r}"),
+    "positive": (lambda v: _finite(v) and v > 0, "{where} must be a positive finite number, got {value!r}"),
+    # follows a "finite" row on the same key, which reports a value that is not a number
+    "above_zero": (lambda v: not _finite(v) or v > 0, "{where} must be positive, got {value!r}"),
+    "count": (lambda v: type(v) is int and v >= 1, "{where} must be a positive integer, got {value!r}"),
+    "count0": (lambda v: type(v) is int and v >= 0, "{where} must be a non-negative integer, got {value!r}"),
+    "degree": (lambda v: type(v) is int and 1 <= v <= MAX_DEGREE,
+               f"{{where}} must be an integer in [1, {MAX_DEGREE}], got {{value!r}}"),
+    "axis": (lambda v: type(v) is int and 0 <= v <= 2, "{where} must be 0, 1 or 2, got {value!r}"),
+    "vec3": (lambda v: isinstance(v, list) and len(v) == 3 and all(map(_finite, v)),
+             "{where} must be 3 finite numbers, got {value!r}"),
+    "box": (lambda v: isinstance(v, list) and len(v) == 3 and all(
+                isinstance(b, list) and len(b) == 2 and all(map(_finite, b)) and b[0] < b[1] for b in v),
+            "{where} must be 3 [lo, hi] pairs of finite numbers, lo < hi, got {value!r}"),
+    "div": (lambda v: isinstance(v, list) and len(v) == 3 and all(type(n) is int and n >= 1 for n in v),
+            "{where} must be 3 positive integers, got {value!r}"),
+    "tags": (lambda v: isinstance(v, dict) and set(v) <= set(DEFAULT_BOX_TAGS)
+             and all(isinstance(t, str) for t in v.values()),
+             f"{{where}} must map sides of {list(DEFAULT_BOX_TAGS)} to tag names, got {{value!r}}"),
+    "file": (lambda v: isinstance(v, str) and Path(v).is_file(), "{where} must name an existing file, got {value!r}"),
+}
+
+
+def _name(where: str, key, sep: str) -> str:
+    """The place of key under where: a list index as where[i], an object key after sep."""
+    if isinstance(key, int):
+        return f"{where}[{key}]"
+    return f"{where}{sep}{key}" if where else key
+
+
+def _entries(node, key) -> list:
+    """The (key, value) entries that key selects in node: all of them for '*', else the one present."""
+    if key == "*":
+        return list(node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ())
+    return [(key, node[key])] if isinstance(node, dict) and key in node else []
+
+
+def check(cfg: dict, rows, problems) -> bool:
+    """Walk rows of (key path, rule, required[, label]) over cfg in order: one
+    problem per present value that fails its rule and per missing required
+    key.  A '*' segment covers every entry of a list or object (its rows are
+    not required); a row under a parent that is absent or not an object is
+    skipped, as the parent's own row reports it.  A label, formatted with the
+    entry's key, names the value.  True when no row added a problem."""
+    before = len(problems)
+    for path, rule, required, *label in rows:
+        *parents, last = path.split(".")
+        nodes = [("", cfg)]
+        for seg in parents:
+            nodes = [(_name(where, key, "."), value) for where, node in nodes for key, value in _entries(node, seg)]
+        test, template = RULES[rule]
+        for where, node in nodes:
+            if required and isinstance(node, dict) and last not in node:
+                problems.append(f"{where or 'config'}: missing required key {last!r}")
+            for key, value in _entries(node, last):
+                if not test(value):
+                    name = label[0].format(key=key) if label else _name(where, key, ": ")
+                    problems.append(template.format(where=name, path=_name(where, key, "."), value=value))
+    return len(problems) == before
+
+
+# the march of mms and solve
+TIME = [("time", "object", True), ("time.dt", "positive", True), ("time.t_final", "positive", True),
+        ("time.cg_tol", "positive", False), ("time.beta", "finite", False), ("time.gamma", "finite", False),
+        ("time.cg_maxiter", "count", False), ("snapshot_stride", "count0", False)]
+# the acoustic mesh of solve and project
+MESH = [("mesh", "object", True), ("mesh.file", "file", False), ("mesh.generator", "object", False),
+        ("mesh.generator.box", "box", True), ("mesh.generator.div", "div", True),
+        ("mesh.generator.tags", "tags", False)]
+MMS = [("degrees", "list", True), ("degrees.*", "degree", False), ("divisions", "list", True),
+       ("divisions.*", "count", False)]
+# the keys the space and operators need; the optional blocks are checked once these hold
+SOLVE = [("degree", "degree", True), ("c0", "positive", True), ("rho0", "positive", True)]
+SOLVE_BLOCKS = [("impedance", "object", False), ("impedance.*", "positive", False), ("probes", "object", False),
+                ("probes.*", "vec3", False, "probe {key!r}"), ("source", "object", False),
+                ("initial", "object", False)]
+# the rows of each source type, checked by _build_loads
+SOURCES = {"none": [],
+           "monopole": [("source.position", "vec3", True, "source(monopole): position"),
+                        ("source.frequency", "finite", True, "source(monopole): frequency")],
+           "projected": [("source.files", "list", True, "source(projected): files"),
+                         ("source.stride", "count", False, "source(projected): stride")]}
+GAUSSIAN_PLANE = [("initial.axis", "axis", True), ("initial.center", "finite", True),
+                  ("initial.sigma", "finite", True), ("initial.sigma", "above_zero", False),
+                  ("initial.direction", "finite", False)]
+PROJECT = [("degree", "degree", True), ("points_per_axis", "count", False)]
+FV_SOURCE = [("rho0", "positive", True), ("synthetic", "object", False), ("synthetic.box", "box", True),
+             ("synthetic.div", "div", True), ("synthetic.times", "list", False),
+             ("synthetic.times.*", "finite", False), ("spanwise_axis", "axis", False)]
+CURLE = [("c0", "positive", True), ("forces", "list", True), ("forces.*", "object", False),
+         ("forces.*.file", "file", True), ("forces.*.body_point", "vec3", False), ("observers", "object", True),
+         ("observers.*", "vec3", False, "observer {key!r}"), ("psd_segment", "count", False)]
+
+
+def _mesh_from_config(cfg: dict, problems) -> HexMesh | None:
+    """The mesh of cfg's mesh block, or None after its problems."""
+    if not check(cfg, MESH, problems):
         return None
+    spec = cfg["mesh"]
     if "file" in spec:
-        path = Path(spec["file"])
-        if not path.exists():
-            problems.append(f"mesh file {path} does not exist")
-            return None
-        return HexMesh.load(path)
-    gen = spec.get("generator")
-    if gen is None:
+        try:
+            return HexMesh.load(spec["file"])
+        except (MeshError, ValueError) as exc:
+            problems.append(f"mesh: file {spec['file']}: {exc}")
+    elif "generator" in spec:
+        gen = spec["generator"]
+        return generate_box_mesh(gen["box"], gen["div"], gen.get("tags"))
+    else:
         problems.append("mesh: need either 'file' or 'generator'")
-        return None
-    if not isinstance(gen, dict):
-        problems.append(f"mesh.generator: must be an object, got {gen!r}")
-        return None
-    missing = [k for k in ("box", "div") if k not in gen]
-    if missing:
-        problems.append(f"mesh.generator: missing {missing}")
-        return None
-    box, div, before = gen["box"], gen["div"], len(problems)
-    if not (isinstance(box, list) and len(box) == 3 and all(
-            isinstance(b, list) and len(b) == 2 and all(type(v) in (int, float) and np.isfinite(v) for v in b)
-            and b[0] < b[1] for b in box)):
-        problems.append(f"mesh.generator: box must be 3 [lo, hi] pairs of finite numbers, lo < hi, got {box!r}")
-    if not (isinstance(div, list) and len(div) == 3 and all(type(n) is int and n >= 1 for n in div)):
-        problems.append(f"mesh.generator: div must be 3 positive integers, got {div!r}")
-    return None if len(problems) > before else generate_box_mesh(box, div, gen.get("tags"))
-
-
-def _degree_ok(r, where: str, problems) -> bool:
-    """Whether r is an integer in the GLL range; else one problem."""
-    if type(r) is int and 1 <= r <= MAX_DEGREE:
-        return True
-    problems.append(f"{where} must be an integer in [1, {MAX_DEGREE}], got {r!r}")
-    return False
-
-
-def _degree_from_config(cfg: dict, problems) -> int | None:
-    """cfg["degree"] when it is an integer in the GLL range, else one problem."""
-    r = cfg.get("degree")
-    return r if _degree_ok(r, "degree", problems) else None
-
-
-def _positive(value, where: str, problems) -> float | None:
-    """value as a float when it is a positive finite number, else one problem."""
-    if type(value) in (int, float) and 0 < value < np.inf:
-        return float(value)
-    problems.append(f"{where} must be a positive finite number, got {value!r}")
-    return None
-
-
-def _finite(value, where: str, problems) -> float | None:
-    """value as a float when it is a finite number, else one problem."""
-    if type(value) in (int, float) and np.isfinite(value):
-        return float(value)
-    problems.append(f"{where} must be a finite number, got {value!r}")
-    return None
-
-
-def _count(value, where: str, problems, least: int = 1) -> int | None:
-    """value when it is an integer >= least, 1 (positive) or 0 (non-negative), else one problem."""
-    if type(value) is int and value >= least:
-        return value
-    problems.append(f"{where} must be a {'positive' if least else 'non-negative'} integer, got {value!r}")
     return None
 
 
 def _newmark_from_config(cfg: dict, problems) -> NewmarkConfig | None:
-    """The march of cfg's time block and snapshot_stride; each bad entry is one
-    problem, and a missing time block is left to the caller's _require."""
-    if "time" not in cfg:
+    """The march of cfg's time block and snapshot_stride, or None after their problems."""
+    if not check(cfg, TIME, problems):
         return None
-    tc, before = cfg["time"], len(problems)
-    if not isinstance(tc, dict):
-        problems.append(f"time: must be an object, got {tc!r}")
-        return None
-    _require(tc, ("dt", "t_final"), problems, "time")
-    kw = {k: _positive(tc[k], f"time: {k}", problems) for k in ("dt", "t_final", "cg_tol") if k in tc}
-    kw.update({k: _finite(tc[k], f"time: {k}", problems) for k in ("beta", "gamma") if k in tc})
-    if "cg_maxiter" in tc:
-        kw["cg_maxiter"] = _count(tc["cg_maxiter"], "time: cg_maxiter", problems)
-    kw["snapshot_stride"] = _count(cfg.get("snapshot_stride", 0), "snapshot_stride", problems, least=0)
-    if len(problems) > before:
-        return None
+    tc = cfg["time"]
+    kw = {k: tc[k] for k in ("dt", "t_final", "cg_tol", "beta", "gamma", "cg_maxiter") if k in tc}
     try:
-        return NewmarkConfig(**kw, probes=cfg.get("probes", {}))
+        return NewmarkConfig(**kw, snapshot_stride=cfg.get("snapshot_stride", 0), probes=cfg.get("probes", {}))
     except ValueError as exc:
         problems.append(f"time: {exc}")
         return None
+
+
+def _write_csv(path: Path, header, rows) -> Path:
+    """header, then rows, with each float written to 12 significant digits."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
+    return path
 
 
 def _sha256(path) -> str:
@@ -209,19 +255,8 @@ def mms_single(divisions: int, degree: int, cfg: NewmarkConfig, points: int | No
 
 def run_mms(cfg: dict, out_dir: Path) -> Path:
     problems = []
-    _require(cfg, ("degrees", "divisions", "time"), problems)
     nm = _newmark_from_config(cfg, problems)
-    # every entry is checked before the first march
-    for key in (k for k in ("degrees", "divisions") if k in cfg):
-        entries = cfg[key]
-        if not isinstance(entries, list) or not entries:
-            problems.append(f"{key} must be a non-empty list, got {entries!r}")
-            continue
-        for i, v in enumerate(entries):
-            if key == "degrees":
-                _degree_ok(v, f"degrees[{i}]", problems)
-            else:
-                _count(v, f"divisions[{i}]", problems)
+    check(cfg, MMS, problems)  # every entry is checked before the first march
     if problems:
         raise ConfigError(problems)
 
@@ -232,141 +267,91 @@ def run_mms(cfg: dict, out_dir: Path) -> Path:
             t0 = _time.perf_counter()
             err, ndof = mms_single(n, r, nm)
             elapsed = _time.perf_counter() - t0
-            h = 1.0 / n
             order = np.nan if prev_err is None else float(np.log2(prev_err / err))
-            rows.append((r, h, ndof, err, order, elapsed))
+            rows.append([r, 1.0 / n, ndof, err, f"{order:.6g}", f"{elapsed:.3f}"])
             prev_err = err
-    report = out_dir / "mms_report.csv"
-    with open(report, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["degree", "h", "ndof", "E2", "observed_order", "runtime_s"])
-        for row in rows:
-            w.writerow([row[0], f"{row[1]:.12g}", row[2], f"{row[3]:.12g}", f"{row[4]:.6g}", f"{row[5]:.3f}"])
-    return report
+    return _write_csv(out_dir / "mms_report.csv", ["degree", "h", "ndof", "E2", "observed_order", "runtime_s"], rows)
 
 
 # -- solve ----------------------------------------------------------------
 
 
 def _build_loads(cfg: dict, space, nm: NewmarkConfig, problems):
+    """load(k) of cfg's source block, or None after its problems (a source
+    that is not an object is left to the SOLVE_BLOCKS row)."""
     src = cfg.get("source", {"type": "none"})
     if not isinstance(src, dict):
-        problems.append(f"source: must be an object, got {src!r}")
         return None
     kind = src.get("type", "none")
+    if kind not in SOURCES:
+        problems.append(f"source: unknown type {kind!r}")
+        return None
+    before = len(problems)
+    check(cfg, SOURCES[kind], problems)
     if kind == "none":
         zero = np.zeros(space.ndof)
         return lambda k: zero
     if kind == "monopole":
-        missing = [k for k in ("position", "frequency") if k not in src]
-        if missing:
-            problems.append(f"source(monopole): missing {missing}")
-            return None
-        f0 = _finite(src["frequency"], "source(monopole): frequency", problems)
-        if problems:  # the run stops here; a position _check_points rejected would raise below
+        if problems:  # the run stops here; a position outside the mesh would raise below
             return None
         unit = point_source_load(space, src["position"], 1.0)
-        return lambda k: unit * np.sin(2.0 * np.pi * f0 * k * nm.dt)
-    if kind == "projected":
-        files = src.get("files")
-        if not files:
-            problems.append("source(projected): missing 'files' list of load vectors")
-            return None
-        vecs, bad = [], []
-        stride = _count(src.get("stride", 1), "source(projected): stride", bad)
-        for f in files:
-            if not Path(f).is_file():
-                bad.append(f"source(projected): load file {f} does not exist")
-                continue
-            vecs.append(np.load(f))
-            if vecs[-1].shape != (space.ndof,):
-                bad.append(f"source(projected): load file {f} has shape {vecs[-1].shape}, need ({space.ndof},) = ndof")
-        if bad:
-            problems.extend(bad)
-            return None
-        # donor loads held piecewise constant between mappings
-        return lambda k: vecs[min(k // stride, len(vecs) - 1)]
-    problems.append(f"source: unknown type {kind!r}")
-    return None
+        return lambda k: unit * np.sin(2.0 * np.pi * src["frequency"] * k * nm.dt)
+    if not RULES["list"][0](src.get("files")):
+        return None
+    vecs = []
+    for f in src["files"]:
+        if not RULES["file"][0](f):
+            problems.append(f"source(projected): load file {f} does not exist")
+            continue
+        vecs.append(np.load(f))
+        if vecs[-1].shape != (space.ndof,):
+            problems.append(f"source(projected): load file {f} has shape {vecs[-1].shape}, need ({space.ndof},)")
+    if len(problems) > before:
+        return None
+    stride = src.get("stride", 1)
+    # donor loads held piecewise constant between mappings
+    return lambda k: vecs[min(k // stride, len(vecs) - 1)]
 
 
-def _impedance_from_config(cfg: dict, mesh: HexMesh, problems) -> dict[str, float]:
-    """Wall tag -> impedance Z; an unknown tag, or a Z that is not a positive
-    finite number, is one problem each and is left out."""
+def _check_against_mesh(cfg: dict, mesh: HexMesh, problems):
+    """One problem for the impedance tags the mesh lacks, and one per probe or monopole position outside it
+    (located together by one locate_points call); the rows report points that are not 3 finite numbers."""
     imp = cfg.get("impedance", {})
-    if not isinstance(imp, dict):
-        problems.append(f"impedance: must be an object, got {imp!r}")
-        return {}
-    unknown = sorted(set(imp) - mesh.tags)
+    unknown = sorted(set(imp) - mesh.tags) if isinstance(imp, dict) else []
     if unknown:
         problems.append(f"impedance tags {unknown} not present in mesh (has {sorted(mesh.tags)})")
-    good = {}
-    for tag, z in imp.items():
-        z = _positive(z, f"impedance: {tag}", problems)
-        if z is not None and tag in mesh.tags:
-            good[tag] = z
-    return good
-
-
-def _check_points(cfg: dict, mesh: HexMesh, problems):
-    """Each probe, and the position of a monopole source, must be 3 finite
-    numbers inside the mesh: one problem per point that is not, the inside
-    test made by one locate_points call."""
     probes = cfg.get("probes", {})
-    if not isinstance(probes, dict):
-        problems.append(f"probes: must be an object, got {probes!r}")
-        probes = {}
-    points = [(f"probe {name!r}", x) for name, x in probes.items()]
+    points = [(f"probe {name!r}", x) for name, x in probes.items()] if isinstance(probes, dict) else []
     src = cfg.get("source")
     if isinstance(src, dict) and src.get("type") == "monopole" and "position" in src:
         points.append(("source(monopole): position", src["position"]))
-    numeric = []
-    for where, x in points:
-        if isinstance(x, (list, tuple)) and len(x) == 3 and all(type(c) in (int, float) and np.isfinite(c) for c in x):
-            numeric.append((where, x))
-        else:
-            problems.append(f"{where} must be 3 finite numbers, got {x!r}")
-    elem, _ = mesh.locate_points(np.array([x for _, x in numeric], dtype=float).reshape(-1, 3))
-    problems.extend(f"{where} at {x} is outside the mesh" for (where, x), e in zip(numeric, elem) if e < 0)
+    points = [(where, x) for where, x in points if RULES["vec3"][0](x)]
+    elem, _ = mesh.locate_points(np.array([x for _, x in points], dtype=float).reshape(-1, 3))
+    problems.extend(f"{where} at {x} is outside the mesh" for (where, x), e in zip(points, elem) if e < 0)
 
 
 def _initial_from_config(cfg: dict, space, c0: float, problems):
-    """Initial (rho, velocity) of a gaussian_plane block; each bad entry of
-    the block is one problem, and the result is None when there is one."""
+    """Initial (rho, velocity) of a gaussian_plane block, or None when the
+    block is absent or has problems (one that is not an object is left to
+    the SOLVE_BLOCKS row)."""
     init = cfg.get("initial")
-    if init is None:
-        return None
     if not isinstance(init, dict):
-        problems.append(f"initial: must be an object, got {init!r}")
         return None
     if init.get("type") != "gaussian_plane":
         problems.append(f"initial: unknown type {init.get('type')!r}")
         return None
-    before = len(problems)
-    _require(init, ("axis", "center", "sigma"), problems, "initial")
-    axis = init.get("axis", 0)
-    if type(axis) is not int or not 0 <= axis <= 2:
-        problems.append(f"initial: axis must be 0, 1 or 2, got {axis!r}")
-    values = {key: init.get(key, 1.0) for key in ("center", "sigma", "direction")}
-    for key, value in values.items():
-        if _finite(value, f"initial: {key}", problems) is not None and key == "sigma" and value <= 0:
-            problems.append(f"initial: sigma must be positive, got {value!r}")
-    if len(problems) > before:
+    if not check(cfg, GAUSSIAN_PLANE, problems):
         return None
-    center, sigma, direction = (float(v) for v in values.values())
+    axis, center, sigma, direction = init["axis"], init["center"], init["sigma"], init.get("direction", 1.0)
 
-    def pulse(x, y, z):
-        s = (x, y, z)[axis]
-        return np.exp(-(((s - center) / sigma) ** 2))
-
-    def pulse_v(x, y, z):
-        s = (x, y, z)[axis]
-        return direction * c0 * 2.0 * (s - center) / sigma**2 * np.exp(-(((s - center) / sigma) ** 2))
+    def pulse(x, y, z, rate=False):
+        s = (x, y, z)[axis] - center
+        g = np.exp(-((s / sigma) ** 2))
+        return direction * c0 * 2.0 * s / sigma**2 * g if rate else g
 
     # rho = g(s - c t): d/dt = -c g' for a wave moving toward +axis
     rho = interpolate(space, pulse).coeffs
-    vel = interpolate(space, pulse_v).coeffs
-    return rho, vel
+    return rho, interpolate(space, lambda x, y, z: pulse(x, y, z, rate=True)).coeffs
 
 
 def run_solve(cfg: dict, out_dir: Path, run_name: str = "solve", metrics: dict | None = None):
@@ -376,33 +361,30 @@ def run_solve(cfg: dict, out_dir: Path, run_name: str = "solve", metrics: dict |
     set-up (config to first step) and of the march, in seconds."""
     t0 = _time.perf_counter()
     problems = []
-    _require(cfg, ("rho0", "c0", "mesh", "degree", "time"), problems)
     nm = _newmark_from_config(cfg, problems)
-    mesh = _mesh_from_config(cfg["mesh"], problems) if "mesh" in cfg else None
-    degree = _degree_from_config(cfg, problems) if "degree" in cfg else None
-    c0, rho0 = (_positive(cfg[k], k, problems) if k in cfg else None for k in ("c0", "rho0"))
+    mesh = _mesh_from_config(cfg, problems)
+    check(cfg, SOLVE, problems)
     if problems:
         raise ConfigError(problems)
 
-    impedance = _impedance_from_config(cfg, mesh, problems)
-    _check_points(cfg, mesh, problems)
-    space = build_space(mesh, degree)
-    ops = assemble_operators(space, c0=c0, rho0=rho0, impedance=impedance)
+    check(cfg, SOLVE_BLOCKS, problems)
+    _check_against_mesh(cfg, mesh, problems)
+    space = build_space(mesh, cfg["degree"])
     loads = _build_loads(cfg, space, nm, problems)
-    initial = _initial_from_config(cfg, space, ops.c0, problems)
+    c0 = float(cfg["c0"])
+    initial = _initial_from_config(cfg, space, c0, problems)
     if problems:
         raise ConfigError(problems)
+    ops = assemble_operators(space, c0=c0, rho0=float(cfg["rho0"]), impedance=cfg.get("impedance"))
 
     t1 = _time.perf_counter()
     result = run(space, ops, loads, nm, initial=initial, out_dir=out_dir, run_name=run_name)
     if metrics is not None:
         metrics.update(ndof=space.ndof, nsteps=nm.num_steps, setup_wall_s=t1 - t0,
                        march_wall_s=_time.perf_counter() - t1)
-    outputs = [Path(p) for p in result.snapshot_files]
     probe_path = out_dir / f"{run_name}_probes.csv"
     write_probe_csv(result, probe_path)
-    outputs.append(probe_path)
-    return result, outputs
+    return result, [*map(Path, result.snapshot_files), probe_path]
 
 
 # -- fv-source ------------------------------------------------------------
@@ -414,38 +396,39 @@ SYNTHETIC_FIELDS = {
 }
 
 
+def _load_fv(cfg: dict, problems):
+    """The FV mesh and fields of cfg's fv_file, or (None, []) after its problem."""
+    if check(cfg, [("fv_file", "file", True)], problems):
+        try:
+            return load_fv(cfg["fv_file"])
+        except (FvError, ValueError) as exc:
+            problems.append(f"fv_file {cfg['fv_file']}: {exc}")
+    return None, []
+
+
 def run_fv_source(cfg: dict, out_dir: Path) -> Path:
     problems = []
-    _require(cfg, ("rho0",), problems)
-    rho0 = _positive(cfg["rho0"], "rho0", problems) if "rho0" in cfg else None
+    check(cfg, FV_SOURCE, problems)
+    syn = cfg.get("synthetic")
     if "fv_file" in cfg:
-        mesh, fields = load_fv(cfg["fv_file"])
+        mesh, fields = _load_fv(cfg, problems)
         fields = [f for f in fields if f.values.ndim == 2]
-        if not fields:
+        if mesh is not None and not fields:
             problems.append("fv_file contains no vector velocity fields")
-    elif "synthetic" in cfg:
-        syn = cfg["synthetic"]
-        _require(syn, ("box", "div", "field"), problems, "synthetic")
-        if syn.get("field") not in SYNTHETIC_FIELDS:
-            problems.append(f"synthetic.field must be one of {sorted(SYNTHETIC_FIELDS)}")
-        if not problems:
-            mesh = generate_box_fv(syn["box"], syn["div"])
-            times = syn.get("times", [0.0])
-            fields = [sample_velocity(mesh, SYNTHETIC_FIELDS[syn["field"]], time=t) for t in times]
-    else:
+    elif syn is None:
         problems.append("need 'fv_file' or 'synthetic' donor specification")
+    elif isinstance(syn, dict) and syn.get("field") not in SYNTHETIC_FIELDS:
+        problems.append(f"synthetic.field must be one of {sorted(SYNTHETIC_FIELDS)}")
+    elif not problems:
+        mesh = generate_box_fv(syn["box"], syn["div"])
+        fields = [sample_velocity(mesh, SYNTHETIC_FIELDS[syn["field"]], time=t) for t in syn.get("times", [0.0])]
     if problems:
         raise ConfigError(problems)
-
-    sources = [lighthill_divergence(mesh, f, rho0) for f in fields]
-    axis = cfg.get("spanwise_axis")
-    if axis is not None:
-        averaged = [spanwise_average(s, int(axis)) for s in sources]
-        mesh_out, sources = averaged[0].mesh, averaged
-    else:
-        mesh_out = mesh
+    sources = [lighthill_divergence(mesh, f, float(cfg["rho0"])) for f in fields]
+    if "spanwise_axis" in cfg:
+        sources = [spanwise_average(s, cfg["spanwise_axis"]) for s in sources]
     out_path = out_dir / "fv_source.json"
-    save_fv(out_path, mesh_out, sources)
+    save_fv(out_path, sources[0].mesh, sources)
     return out_path
 
 
@@ -454,61 +437,48 @@ def run_fv_source(cfg: dict, out_dir: Path) -> Path:
 
 def run_project(cfg: dict, out_dir: Path):
     problems = []
-    _require(cfg, ("fv_file", "mesh", "degree"), problems)
-    mesh = _mesh_from_config(cfg["mesh"], problems) if "mesh" in cfg else None
-    degree = _degree_from_config(cfg, problems) if "degree" in cfg else None
+    mesh = _mesh_from_config(cfg, problems)
+    check(cfg, PROJECT, problems)
+    # the FV file is read once the mesh and degree hold
+    fvmesh, fields = (None, []) if problems else _load_fv(cfg, problems)
     if problems:
         raise ConfigError(problems)
-    fvmesh, fields = load_fv(cfg["fv_file"])
-    space = build_space(mesh, degree)
-    proj = build_projection(space, fvmesh, points_per_axis=int(cfg.get("points_per_axis", 3)))
-    from .assembly import assemble_convective
-
+    space = build_space(mesh, cfg["degree"])
+    proj = build_projection(space, fvmesh, points_per_axis=cfg.get("points_per_axis", 3))
     conv = assemble_convective(space)
     outputs, audited = [], ()
     for idx, f in enumerate(fields):
-        if f.values.ndim == 2:
-            comps = [proj.project(f.values[:, d]).coeffs for d in range(3)]
-            load = aeroacoustic_load(conv, *comps)
-            out = out_dir / f"load_{idx:04d}.npy"
-            np.save(out, load)
-            outputs.append(out)
-            for d, comp in enumerate(comps):
-                cpath = out_dir / f"projected_{idx:04d}_{'xyz'[d]}.npy"
-                np.save(cpath, comp)
-                outputs.append(cpath)
-            audited = audited or (f.values[:, 0], comps[0])
-        else:
-            coeffs = proj.project(f.values).coeffs
-            out = out_dir / f"projected_{idx:04d}.npy"
-            np.save(out, coeffs)
-            outputs.append(out)
-            audited = audited or (f.values, coeffs)
+        columns = list(f.values.T) if f.values.ndim == 2 else [f.values]
+        comps = [proj.project(q).coeffs for q in columns]
+        audited = audited or (columns[0], comps[0])
+        names = [f"projected_{idx:04d}_{a}" for a in "xyz"] if len(columns) == 3 else [f"projected_{idx:04d}"]
+        arrays = dict(zip(names, comps))
+        if len(columns) == 3:  # a velocity snapshot: its aeroacoustic load as well
+            arrays[f"load_{idx:04d}"] = aeroacoustic_load(conv, *comps)
+        for name, array in arrays.items():
+            outputs.append(out_dir / f"{name}.npy")
+            np.save(outputs[-1], array)
     # the transferred-mass audit reuses the first field's (x-)projection
     report = proj.conservation_report(fvmesh, *audited)
     rep_path = out_dir / "conservation_report.json"
-    with open(rep_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-    outputs.append(rep_path)
-    return report, outputs
+    rep_path.write_text(json.dumps(report, indent=2))
+    return report, [*outputs, rep_path]
 
 
 # -- curle ----------------------------------------------------------------
 
 
 def _force_histories(specs, problems) -> list[ForceHistory]:
-    """Each missing or unreadable force file, and each history off the first
-    one's time base (row count, or times beyond 1e-12 relative), is one
-    problem: the observer pressures are summed sample by sample."""
+    """The history of each force file; each unreadable one, and each history
+    off the first one's time base (row count, or times beyond 1e-12
+    relative), is one problem: the observer pressures are summed sample by
+    sample."""
     histories = []
     for spec in specs:
-        path = Path(spec["file"])
-        if not path.is_file():
-            problems.append(f"force file {path} does not exist")
-            continue
+        path = spec["file"]
         try:
             rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-            hist = ForceHistory(rows[:, 0], rows[:, 1:4], np.asarray(spec.get("body_point", [0, 0, 0]), dtype=float))
+            hist = ForceHistory(rows[:, 0], rows[:, 1:4], spec.get("body_point", (0.0, 0.0, 0.0)))
         except (ValueError, CurleError) as exc:
             problems.append(f"force file {path}: {exc}")
             continue
@@ -524,38 +494,22 @@ def _force_histories(specs, problems) -> list[ForceHistory]:
 
 def run_curle(cfg: dict, out_dir: Path):
     problems = []
-    _require(cfg, ("forces", "observers", "c0"), problems)
-    if problems:
-        raise ConfigError(problems)
-    c0 = _positive(cfg["c0"], "c0", problems)
-    histories = _force_histories(cfg["forces"], problems)
+    histories = _force_histories(cfg["forces"], problems) if check(cfg, CURLE, problems) else []
+    times = histories[0].times if histories else np.zeros(0)
+    seg = cfg.get("psd_segment", min(256, times.size))
+    if histories and seg > times.size:
+        problems.append(f"psd_segment {seg} exceeds the {times.size} samples of the force histories")
     if problems:
         raise ConfigError(problems)
 
     outputs = []
     for name, pos in cfg["observers"].items():
         # multiple (force, body point) pairs: contributions sum linearly
-        total = None
-        for hist in histories:
-            rec = curle_pressure(hist, pos, c0)
-            total = rec.pressure if total is None else total + rec.pressure
-        times = histories[0].times
-        ppath = out_dir / f"curle_{name}.csv"
-        with open(ppath, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time", "pressure"])
-            for t, p in zip(times, total):
-                w.writerow([f"{t:.12g}", f"{p:.12g}"])
-        outputs.append(ppath)
-        seg = int(cfg.get("psd_segment", min(256, len(times))))
+        pressures = [curle_pressure(hist, pos, cfg["c0"]).pressure for hist in histories]
+        total = sum(pressures[1:], pressures[0])
+        outputs.append(_write_csv(out_dir / f"curle_{name}.csv", ["time", "pressure"], zip(times, total)))
         freq, pxx = psd(total, float(times[1] - times[0]), seg)
-        spath = out_dir / f"curle_{name}_psd.csv"
-        with open(spath, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["frequency", "psd"])
-            for f, p in zip(freq, pxx):
-                w.writerow([f"{f:.12g}", f"{p:.12g}"])
-        outputs.append(spath)
+        outputs.append(_write_csv(out_dir / f"curle_{name}_psd.csv", ["frequency", "psd"], zip(freq, pxx)))
     return outputs
 
 
@@ -587,9 +541,12 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "mesh-gen":
-            b = [float(v) for v in args.box.split(",")]
-            div = [int(v) for v in args.div.split(",")]
-            mesh = generate_box_mesh([b[0:2], b[2:4], b[4:6]], div, _parse_tags(args.tag))
+            try:
+                b = [float(v) for v in args.box.split(",")]
+                div = [int(v) for v in args.div.split(",")]
+                mesh = generate_box_mesh([b[0:2], b[2:4], b[4:6]], div, _parse_tags(args.tag))
+            except ValueError as exc:
+                raise ConfigError([f"mesh-gen: {exc}"]) from exc
             out = Path(args.out)
             out.parent.mkdir(parents=True, exist_ok=True)
             mesh.save(out)
@@ -612,12 +569,10 @@ def main(argv=None) -> int:
         write_manifest(out_dir, cfg, [Path(p) for p in outputs], seed=args.seed, metrics=metrics)
         return 0
     except ConfigError as exc:
-        json.dump({"error": "configuration", "problems": exc.problems}, sys.stderr)
-        sys.stderr.write("\n")
+        print(json.dumps({"error": "configuration", "problems": exc.problems}), file=sys.stderr)
         return 2
     except Exception as exc:  # solver/runtime failures
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
 
 

@@ -118,6 +118,8 @@ def generate_box_fv(bounds, divisions) -> FvMesh:
     """Uniform Cartesian FV mesh of an axis-aligned box."""
     bounds = np.asarray(bounds, dtype=float)
     nx, ny, nz = (int(n) for n in divisions)
+    if min(nx, ny, nz) < 1 or np.any(bounds[:, 1] <= bounds[:, 0]):
+        raise ValueError("divisions must be >= 1 and box extents positive")
     d = (bounds[:, 1] - bounds[:, 0]) / (nx, ny, nz)
     xs, ys, zs = (
         bounds[a, 0] + (np.arange(n) + 0.5) * d[a] for a, n in enumerate((nx, ny, nz))
@@ -283,8 +285,9 @@ def load_fv(path) -> tuple[FvMesh, list[FvField]]:
     """Load and validate an FV data file; fields come back time-sorted."""
     with open(path) as fh:
         data = json.load(fh)
-    if data.get("version") != FV_FORMAT_VERSION:
-        raise FvError(f"unsupported FV file version {data.get('version')!r}")
+    version = data.get("version") if isinstance(data, dict) else None
+    if version != FV_FORMAT_VERSION:
+        raise FvError(f"unsupported FV file version {version!r}")
     for key in ("cells", "faces"):
         if key not in data:
             raise FvError(f"FV file missing {key!r} array")

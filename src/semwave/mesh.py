@@ -294,8 +294,12 @@ class HexMesh:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HexMesh":
-        if data.get("version") != MESH_FORMAT_VERSION:
-            raise MeshError(f"unsupported mesh file version {data.get('version')!r}")
+        version = data.get("version") if isinstance(data, dict) else None
+        if version != MESH_FORMAT_VERSION:
+            raise MeshError(f"unsupported mesh file version {version!r}")
+        for key in ("vertices", "elements", "boundary"):
+            if key not in data:
+                raise MeshError(f"mesh file missing {key!r}")
         boundary = [(int(e), int(f), str(t)) for e, f, t in data["boundary"]]
         return cls(np.array(data["vertices"], dtype=float), np.array(data["elements"], dtype=int), boundary)
 
@@ -327,6 +331,8 @@ def generate_box_mesh(bounds, divisions, tags: dict[str, str] | None = None) -> 
         raise ValueError("divisions must be >= 1")
     if np.any(bounds[:, 1] <= bounds[:, 0]):
         raise ValueError("box extents must be positive")
+    if set(tags or {}) - set(DEFAULT_BOX_TAGS):
+        raise ValueError(f"unknown box sides {sorted(set(tags) - set(DEFAULT_BOX_TAGS))} in tags")
     t = dict(DEFAULT_BOX_TAGS)
     t.update(tags or {})
 

@@ -649,3 +649,146 @@ def test_gaussian_plane_initial(cube2_space_r2):
     peak = np.argmax(rho)
     assert abs(cube2_space_r2.node_coords[peak, 0] - 0.5) < 0.3
     assert np.max(np.abs(vel)) > 0.0
+
+
+def _stage_problems(tmp_path, capsys, command, cfg):
+    """The problem list of `command` on cfg, which must exit 2 with a configuration error."""
+    code = cli.main([command, "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and err["error"] == "configuration", err
+    return err["problems"]
+
+
+_FV_SYNTHETIC = {"box": [[0, 1], [0, 1], [0, 1]], "div": [2, 2, 2], "field": "shear_xy"}
+
+
+def _bad_config(tmp_path, command, change):
+    """A config of command that passes every check, then changed by change(cfg, tmp_path)."""
+    if command == "solve":
+        cfg = json.loads(json.dumps(_SOLVE_1X1))
+    elif command == "fv-source":
+        cfg = {"version": "1", "rho0": 1.0, "synthetic": dict(_FV_SYNTHETIC)}
+    elif command == "project":
+        fv_cfg = {"version": "1", "rho0": 1.0, "synthetic": _FV_SYNTHETIC}
+        assert cli.main(["fv-source", "--config", _write_config(tmp_path, fv_cfg, "fv.json"),
+                         "--out", str(tmp_path / "fv")]) == 0
+        cfg = {"version": "1", "fv_file": str(tmp_path / "fv" / "fv_source.json"), "degree": 1,
+               "mesh": json.loads(json.dumps(_SOLVE_1X1["mesh"]))}
+    else:
+        force = _write_forces(tmp_path / "force.csv", np.arange(10) * 0.01)
+        cfg = {"version": "1", "c0": 343.0, "forces": [{"file": force}], "observers": {"a": [1.0, 0.0, 0.0]}}
+    change(cfg, tmp_path)
+    return cfg
+
+
+def _set(path, value):
+    """A change that sets the key at the dotted path to value (a callable value gets tmp_path)."""
+    def change(cfg, tmp_path):
+        *parents, last = path.split(".")
+        for key in parents:
+            cfg = cfg[key]
+        cfg[last] = value(tmp_path) if callable(value) else value
+    return change
+
+
+_SIDES = "['xmin', 'xmax', 'ymin', 'ymax', 'zmin', 'zmax']"
+
+
+@pytest.mark.parametrize("command, change, expected", [
+    ("project", lambda cfg, tmp_path: cfg.pop("fv_file"), ["config: missing required key 'fv_file'"]),
+    ("project", _set("fv_file", lambda tmp_path: "absent.json"),
+     ["fv_file must name an existing file, got 'absent.json'"]),
+    ("project", _set("points_per_axis", 0), ["points_per_axis must be a positive integer, got 0"]),
+    ("project", _set("points_per_axis", "x"), ["points_per_axis must be a positive integer, got 'x'"]),
+    ("solve", _set("mesh.generator.tags", ["a"]),
+     [f"mesh.generator: tags must map sides of {_SIDES} to tag names, got ['a']"]),
+    ("solve", _set("mesh.generator.tags", {"foo": "a"}),
+     [f"mesh.generator: tags must map sides of {_SIDES} to tag names, got {{'foo': 'a'}}"]),
+    ("solve", _set("mesh", {"file": 5}), ["mesh: file must name an existing file, got 5"]),
+    ("solve", _set("mesh", {"file": "absent.json"}), ["mesh: file must name an existing file, got 'absent.json'"]),
+    ("fv-source", _set("synthetic", [1]), ["synthetic: must be an object, got [1]"]),
+    ("fv-source", _set("synthetic.div", [0, 1, 1]), ["synthetic: div must be 3 positive integers, got [0, 1, 1]"]),
+    ("fv-source", _set("synthetic.box", [[1, 0], [0, 1], [0, 1]]),
+     ["synthetic: box must be 3 [lo, hi] pairs of finite numbers, lo < hi, got [[1, 0], [0, 1], [0, 1]]"]),
+    ("fv-source", _set("synthetic.times", 3), ["synthetic: times must be a non-empty list, got 3"]),
+    ("fv-source", _set("synthetic.times", [0.0, "late"]), ["synthetic.times[1] must be a finite number, got 'late'"]),
+    ("fv-source", _set("spanwise_axis", 5), ["spanwise_axis must be 0, 1 or 2, got 5"]),
+    ("fv-source", _set("fv_file", "absent.json"), ["fv_file must name an existing file, got 'absent.json'"]),
+    ("curle", _set("forces", 5), ["forces must be a non-empty list, got 5"]),
+    ("curle", _set("forces", [{}]), ["forces[0]: missing required key 'file'"]),
+    ("curle", lambda cfg, tmp_path: cfg["forces"].append(7), ["forces[1]: must be an object, got 7"]),
+    ("curle", lambda cfg, tmp_path: cfg["forces"][0].update(body_point=[0, 0]),
+     ["forces[0]: body_point must be 3 finite numbers, got [0, 0]"]),
+    ("curle", _set("observers", [[1, 0, 0]]), ["observers: must be an object, got [[1, 0, 0]]"]),
+    ("curle", _set("observers.a", [1, 0]), ["observer 'a' must be 3 finite numbers, got [1, 0]"]),
+    ("curle", _set("psd_segment", 0), ["psd_segment must be a positive integer, got 0"]),
+    ("curle", _set("psd_segment", 11), ["psd_segment 11 exceeds the 10 samples of the force histories"]),
+    ("solve", _set("source", {"type": "projected", "files": "abc"}),
+     ["source(projected): files must be a non-empty list, got 'abc'"]),
+    ("solve", _set("source", {"type": "monopole"}),
+     ["source: missing required key 'position'", "source: missing required key 'frequency'"]),
+], ids=[
+    "project-no-fv_file", "project-absent-fv_file", "project-points-0", "project-points-str", "solve-tags-list",
+    "solve-tags-side", "solve-mesh-file-int", "solve-mesh-file-absent", "fv-synthetic-list", "fv-div-zero",
+    "fv-box-reversed", "fv-times-int", "fv-times-entry", "fv-spanwise-axis", "fv-absent-fv_file",
+    "curle-forces-int", "curle-force-no-file", "curle-force-not-object", "curle-body-point", "curle-observers-list",
+    "curle-observer-short", "curle-psd-0", "curle-psd-long", "solve-files-str", "solve-monopole-empty",
+])
+def test_bad_key_is_config_error(tmp_path, capsys, monkeypatch, command, change, expected):
+    """Each bad key is one exit-2 problem that names it, raised before anything is built."""
+    cfg = _bad_config(tmp_path, command, change)
+    monkeypatch.chdir(tmp_path)
+    assert _stage_problems(tmp_path, capsys, command, cfg) == expected
+
+
+def test_version_only_mesh_file_is_config_error(tmp_path, capsys):
+    path = tmp_path / "version_only.json"
+    path.write_text(json.dumps({"version": "1"}))
+    problems = _stage_problems(tmp_path, capsys, "solve", {**_SOLVE_1X1, "mesh": {"file": str(path)}})
+    assert problems == [f"mesh: file {path}: mesh file missing 'vertices'"]
+
+
+def test_malformed_fv_file_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"version": "1"}))
+    problems = _stage_problems(tmp_path, capsys, "fv-source", {"version": "1", "rho0": 1.0, "fv_file": str(bad)})
+    assert problems == [f"fv_file {bad}: FV file missing 'cells' array"]
+
+
+def test_fv_file_checked_once_mesh_and_degree_hold(tmp_path, capsys):
+    """project reads its FV file only once the mesh and degree pass, so a bad
+    mesh is not joined by a problem about the file."""
+    cfg = {"version": "1", "fv_file": "absent.json", "degree": 0, "mesh": _SOLVE_1X1["mesh"]}
+    assert _stage_problems(tmp_path, capsys, "project", cfg) == ["degree must be an integer in [1, 12], got 0"]
+
+
+def test_mesh_gen_unknown_tag_side_is_config_error(tmp_path, capsys):
+    code = cli.main(["mesh-gen", "--box", "0,1,0,1,0,1", "--div", "1,1,1", "--tag", "foo=bar",
+                     "--out", str(tmp_path / "mesh.json")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and len(err["problems"]) == 1 and "foo" in err["problems"][0]
+    assert not (tmp_path / "mesh.json").exists()
+
+
+def test_check_walks_rows_in_order():
+    """One problem per failing or missing key, in row order; '*' covers every
+    entry of a list or object; rows under a parent that is absent or not an
+    object are skipped; a label names the value."""
+    cfg = {"a": {"x": 1, "y": "s"}, "b": [1, -2, 3.5], "c": 5, "d": {"p": [1, 2, 3], "q": [1]}}
+    rows = [
+        ("a", "object", True), ("a.x", "count", True), ("a.y", "finite", True), ("a.z", "finite", True),
+        ("b.*", "count", False), ("c", "object", True), ("c.k", "finite", True), ("e.k", "finite", True),
+        ("d.*", "vec3", False, "point {key!r}"),
+    ]
+    problems = ["earlier"]
+    assert not cli.check(cfg, rows, problems)
+    assert problems == [
+        "earlier",
+        "a: y must be a finite number, got 's'",
+        "a: missing required key 'z'",
+        "b[1] must be a positive integer, got -2",
+        "b[2] must be a positive integer, got 3.5",
+        "c: must be an object, got 5",
+        "point 'q' must be 3 finite numbers, got [1]",
+    ]
+    assert cli.check(cfg, rows[:2], problems) and len(problems) == 7

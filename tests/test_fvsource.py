@@ -41,6 +41,18 @@ def test_box_fv_validates():
     generate_box_fv(UNIT_BOX, (3, 3, 3)).validate()
 
 
+@pytest.mark.parametrize("bounds, div", [
+    (UNIT_BOX, (0, 1, 1)),
+    (UNIT_BOX, (2, -1, 2)),
+    ([(1.0, 0.0), (0.0, 1.0), (0.0, 1.0)], (2, 2, 2)),
+    ([(0.0, 1.0), (0.5, 0.5), (0.0, 1.0)], (2, 2, 2)),
+])
+def test_box_fv_argument_validation(bounds, div):
+    """As for generate_box_mesh: no division by zero and no 0-cell or negative-volume mesh."""
+    with pytest.raises(ValueError, match="divisions must be >= 1 and box extents positive"):
+        generate_box_fv(bounds, div)
+
+
 def test_two_cell_fixture_closure():
     # minimal hand-built mesh: two 1x1x1 cubes sharing the x=1 face
     centers = [[0.5, 0.5, 0.5], [1.5, 0.5, 0.5]]

@@ -377,3 +377,22 @@ def test_generator_argument_validation():
 def test_custom_tags():
     mesh = generate_box_mesh(UNIT_BOX, (2, 2, 2), tags={"xmax": "outlet"})
     assert mesh.tags == {"xmin", "outlet", "ymin", "ymax", "zmin", "zmax"}
+
+
+def test_unknown_tag_side_rejected():
+    """A tags key that is not a box side is an error naming it, not a tag silently dropped."""
+    with pytest.raises(ValueError, match="foo"):
+        generate_box_mesh(UNIT_BOX, (1, 1, 1), tags={"foo": "a", "xmax": "outlet"})
+
+
+@pytest.mark.parametrize("key", ["vertices", "elements", "boundary"])
+def test_mesh_file_missing_array_is_mesh_error(key):
+    data = generate_box_mesh(UNIT_BOX, (1, 1, 1)).to_dict()
+    del data[key]
+    with pytest.raises(MeshError, match=f"mesh file missing '{key}'"):
+        HexMesh.from_dict(data)
+
+
+def test_mesh_file_not_an_object_is_mesh_error():
+    with pytest.raises(MeshError, match="version None"):
+        HexMesh.from_dict([1])
