@@ -40,8 +40,11 @@ class ConfigError(Exception):
 
 
 def load_config(path) -> dict:
-    with open(path) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
+        raise ConfigError([f"config file {path}: {exc}"]) from exc
     if not isinstance(cfg, dict):
         raise ConfigError([f"config must be a JSON object, got {cfg!r}"])
     if cfg.get("version") != CONFIG_VERSION:
@@ -303,7 +306,12 @@ def _build_loads(cfg: dict, space, nm: NewmarkConfig, problems):
         if not RULES["file"][0](f):
             problems.append(f"source(projected): load file {f} does not exist")
             continue
-        vecs.append(np.load(f))
+        try:
+            with open(f, "rb") as fh:
+                vecs.append(np.lib.format.read_array(fh))  # .npy only: no pickle, no .npz archive
+        except (OSError, ValueError) as exc:
+            problems.append(f"source(projected): load file {f} is not a .npy array: {exc}")
+            continue
         if vecs[-1].shape != (space.ndof,):
             problems.append(f"source(projected): load file {f} has shape {vecs[-1].shape}, need ({space.ndof},)")
     if len(problems) > before:
@@ -499,6 +507,10 @@ def run_curle(cfg: dict, out_dir: Path):
     seg = cfg.get("psd_segment", min(256, times.size))
     if histories and seg > times.size:
         problems.append(f"psd_segment {seg} exceeds the {times.size} samples of the force histories")
+    if histories:  # the rows passed: every observer and body point is 3 finite numbers
+        problems += [f"observer {name!r} coincides with the body_point of forces[{i}]"
+                     for name, pos in cfg["observers"].items() for i, spec in enumerate(cfg["forces"])
+                     if np.linalg.norm(np.subtract(pos, spec.get("body_point", (0.0, 0.0, 0.0)))) <= 0]
     if problems:
         raise ConfigError(problems)
 

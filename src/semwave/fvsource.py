@@ -219,11 +219,6 @@ def lighthill_divergence(mesh: FvMesh, u: FvField, rho0: float) -> FvField:
     return FvField(mesh, acc / mesh.volumes[:, None], time=u.time, name=f"div_lighthill({u.name})")
 
 
-def boundary_flux_total(mesh: FvMesh, u: FvField, rho0: float) -> np.ndarray:
-    """Sum of rho0 u_F (u_F . n) |F| over boundary faces (conservation check)."""
-    return _face_fluxes(mesh, u, rho0)[mesh.neighbor < 0].sum(axis=0)
-
-
 def spanwise_average(field: FvField, axis: int) -> FvField:
     """Volume-weighted mean along one axis of an extruded/structured mesh.
 
@@ -291,19 +286,18 @@ def load_fv(path) -> tuple[FvMesh, list[FvField]]:
     for key in ("cells", "faces"):
         if key not in data:
             raise FvError(f"FV file missing {key!r} array")
-    cells = data["cells"]
-    mesh = FvMesh(
-        np.array([c["center"] for c in cells], dtype=float),
-        np.array([c["volume"] for c in cells], dtype=float),
-        [f["owner"] for f in data["faces"]],
-        [f["neighbor"] for f in data["faces"]],
-        [f["area"] for f in data["faces"]],
-        [f["normal"] for f in data["faces"]],
-        [f["midpoint"] for f in data["faces"]],
-    )
-    fields = [
-        FvField(mesh, np.array(f["values"], dtype=float), time=float(f.get("time", 0.0)), name=f.get("name", ""))
-        for f in data.get("fields", [])
-    ]
+    cells, faces = data["cells"], data["faces"]
+    try:
+        mesh = FvMesh(
+            np.array([c["center"] for c in cells], dtype=float),
+            np.array([c["volume"] for c in cells], dtype=float),
+            *([f[key] for f in faces] for key in ("owner", "neighbor", "area", "normal", "midpoint")),
+        )
+        fields = [
+            FvField(mesh, np.array(f["values"], dtype=float), time=float(f.get("time", 0.0)), name=f.get("name", ""))
+            for f in data.get("fields", [])
+        ]
+    except KeyError as exc:  # a cell, face or field entry without one of its keys
+        raise FvError(f"FV file entry lacks {exc.args[0]!r}") from None
     fields.sort(key=lambda f: f.time)
     return mesh, fields

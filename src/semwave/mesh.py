@@ -13,12 +13,15 @@ through ``map_points`` (x), ``map_jacobians`` (J = dx/dref) and
 ``map_cofactors`` (det J and the cofactors of J, the rows of det(J) J^-1).
 Node and Gauss-point coordinates come from ``map_points``; volume weights,
 the metrics, the Gauss rule and the corner check from ``map_cofactors``; the
-surface rule's in-face columns of J from ``map_jacobians``.  Only the Newton
-point inversion evaluates the shape functions itself.
+surface rule's in-face columns of J from ``map_jacobians``.  Only the batched
+Newton point inversion evaluates the shape functions itself, one element per
+(point, element) pair.
 
 Point location has one path, ``HexMesh.locate_points``, for probes, point
-sources, evaluation and the sampled FV coupling.  A tie on a shared face goes
-to the previous point's element if it holds the point, else to the lowest index.
+sources, evaluation and the sampled FV coupling.  A point on a face shared by
+several elements goes to the lowest-index one.  Its candidates come from
+``HexMesh.bbox_pairs``, which also finds the cell-element overlaps of the
+clipped FV coupling.
 """
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MESH_FORMAT_VERSION = "1"
+BOX_TESTS = 1 << 16  # query-element bounding-box tests per batch of bbox_pairs
 
 # reference corner coordinates, corner c = i + 2j + 4k
 CORNER_REF = np.array(
@@ -216,9 +220,6 @@ class HexMesh:
 
     # -- geometry ---------------------------------------------------------
 
-    def map_to_physical(self, p: RefPoint) -> np.ndarray:
-        return map_points(self.corner_coords(p.element)[None], np.reshape(p.xi, (1, 3)))[0, 0]
-
     def element_bboxes(self) -> np.ndarray:
         if self._bboxes is None:
             corners = self.corner_coords()
@@ -241,42 +242,53 @@ class HexMesh:
         elem, xi = self.locate_points(np.asarray(x, dtype=float)[None])
         return None if elem[0] < 0 else RefPoint(int(elem[0]), xi[0])
 
+    def bbox_pairs(self, lo: np.ndarray, hi: np.ndarray, pad: float) -> tuple[np.ndarray, np.ndarray]:
+        """(query, element) index pairs, by query then element, of the query boxes
+        [lo, hi] (n, 3) that meet the element bounding boxes grown by pad on every
+        side (shrunk if pad < 0), in batches of about BOX_TESTS tests."""
+        elo, ehi = (self.element_bboxes() + np.array([-pad, pad])[:, None, None]).transpose(0, 2, 1)  # (3, ne)
+        chunk = max(1, BOX_TESTS // max(1, self.num_elements))
+        pairs = [np.empty((0, 2), dtype=int)]
+        for s in range(0, len(lo), chunk):
+            qlo, qhi = lo[s:s + chunk], hi[s:s + chunk]
+            meet = np.ones((len(qlo), self.num_elements), dtype=bool)
+            for a in range(3):
+                meet &= (elo[a] <= qhi[:, a, None]) & (ehi[a] >= qlo[:, a, None])
+            pairs.append(np.argwhere(meet) + [s, 0])
+        return tuple(np.concatenate(pairs).T)
+
     def locate_points(self, X) -> tuple[np.ndarray, np.ndarray]:
         """(elem (n,), xi (n, 3) in [-1, 1]^3) of the finite (n, 3) points X, else ValueError:
-        the first element holding each point by Newton inversion, of the previous point's,
-        then its bounding-box candidates in index order; elem -1 and xi NaN outside."""
+        the lowest-index element holding each point, by one Newton inversion over every
+        (point, bounding-box candidate) pair; elem -1 and xi NaN outside.  Newton starts
+        at xi = 0 and converges when |x(xi) - x| < 1e-12 h within 50 steps; a pair is
+        dropped once |xi| > 3 or J is singular, and it holds the point if |xi| <= 1 + 1e-10."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != 3 or not np.all(np.isfinite(X)):
             raise ValueError(f"points must be a finite (n, 3) array, got shape {X.shape}")
         if not len(X):  # nothing to place: skip h and the bounding boxes, O(ne) each
             return np.empty(0, dtype=int), np.empty((0, 3))
-        pad = 1e-9 * self.h
-        lo, hi = self.element_bboxes() + np.array([-pad, pad])[:, None, None]
-        elem, xi, prev = np.full(len(X), -1), np.full(X.shape, np.nan), -1
-        for n, x in enumerate(X):
-            cand = np.nonzero(np.all((x >= lo) & (x <= hi), axis=1))[0].tolist()
-            for e in [prev] * (prev >= 0) + cand:
-                ref = self._invert_map(e, x)
-                if ref is not None and np.all(np.abs(ref) <= 1.0 + 1e-10):
-                    elem[n], xi[n], prev = e, np.clip(ref, -1.0, 1.0), e
-                    break
-        return elem, xi
-
-    def _invert_map(self, e: int, x: np.ndarray) -> np.ndarray | None:
-        corners = self.corner_coords(e)
-        xi = np.zeros(3)
+        q, e = self.bbox_pairs(X, X, 1e-9 * self.h)
+        corners, target = self.corner_coords(e), X[q]
+        xi, converged = np.zeros((q.size, 3)), np.zeros(q.size, dtype=bool)
+        live = np.arange(q.size)
         for _ in range(50):
-            res = shape_functions(xi) @ corners - x
-            if np.linalg.norm(res) < 1e-12 * max(self.h, 1e-30):
-                return xi
-            jac = np.einsum("cx,cd->xd", corners, shape_gradients(xi))
-            try:
-                xi = xi - np.linalg.solve(jac, res)
-            except np.linalg.LinAlgError:
-                return None
-            if np.max(np.abs(xi)) > 3.0:  # diverging: x not in this element
-                return None
-        return None
+            res = np.einsum("pc,pcx->px", shape_functions(xi[live]), corners[live]) - target[live]
+            done = np.linalg.norm(res, axis=1) < 1e-12 * max(self.h, 1e-30)
+            converged[live[done]] = True
+            live, res = live[~done], res[~done]
+            jac = np.einsum("pcx,pcd->pxd", corners[live], shape_gradients(xi[live]))
+            regular = np.linalg.det(jac) != 0.0  # exactly where LU meets a zero pivot
+            live = live[regular]
+            xi[live] -= np.linalg.solve(jac[regular], res[regular, :, None])[..., 0]
+            live = live[np.abs(xi[live]).max(axis=1) <= 3.0]  # diverging: x not in this element
+            if not live.size:
+                break
+        hit = np.nonzero(converged & np.all(np.abs(xi) <= 1.0 + 1e-10, axis=1))[0]
+        point, first = np.unique(q[hit], return_index=True)  # stable: the lowest element of each point
+        elem, ref = np.full(len(X), -1), np.full(X.shape, np.nan)
+        elem[point], ref[point] = e[hit[first]], np.clip(xi[hit[first]], -1.0, 1.0)
+        return elem, ref
 
     # -- file I/O ---------------------------------------------------------
 

@@ -4,12 +4,13 @@ mass matrix, the projection solve, and the aeroacoustic load composition.
 
 Cell-element overlap integrals: when every acoustic element is an
 axis-aligned box, each box-shaped FV cell is clipped against the element
-boxes it overlaps (found by bounding-box tests in fixed-size batches) and
-a tensor Gauss rule is applied on every intersection box.  The rule and
-the element basis are both tensor products, so the integral of basis
-function (a, b, c) factorises into Ix[a] * Iy[b] * Iz[c] with
-I_d[a] = sum_g (d_d / 2) w_g l_a(xi_d,g) over the clip width d_d: each
-cell-element pair needs p numbers per axis, all pairs in one batch.
+boxes it overlaps (the pairs ``HexMesh.bbox_pairs`` finds, the cell box
+shrunk by 1e-12 h so that touching faces do not count) and a tensor Gauss
+rule is applied on every intersection box.  The rule and the element basis
+are both tensor products, so the integral of basis function (a, b, c)
+factorises into Ix[a] * Iy[b] * Iz[c] with I_d[a] = sum_g (d_d / 2) w_g
+l_a(xi_d,g) over the clip width d_d: each cell-element pair needs p numbers
+per axis, all pairs in one batch.
 Other cells, and every cell when the elements are not aligned boxes, are
 sampled instead: each FV cell is decomposed into one pyramid per face
 (apex at the cell center, base the face rebuilt as an equal-area square
@@ -117,31 +118,22 @@ def _cell_boxes(mesh: FvMesh, cell: np.ndarray, face: np.ndarray):
     return lo, hi, is_box
 
 
-_PAIR_CHUNK = 1 << 16  # cell-element bounding-box tests per batch
-
-
 def _clipped_entries(space: SpectralSpace, clo, chi, cells, gx, gw):
     """Gauss-rule overlap integrals of the box cells `cells` with the aligned
-    element boxes, batched: yields (element, cell, values) per chunk with
-    values (npairs, nloc).  The rule on a clipped box is a tensor product,
-    so each pair needs only p one-dimensional integrals per axis."""
+    element boxes they overlap by at least 1e-12 h on every axis: returns
+    (element, cell, values) with values (npairs, nloc).  The rule on a clipped
+    box is a tensor product, so each pair needs only p one-dimensional
+    integrals per axis."""
+    k, e = space.mesh.bbox_pairs(clo[cells], chi[cells], -1e-12 * space.mesh.h)
     elo, ehi = space.mesh.element_bboxes()
-    eps = 1e-12 * space.mesh.h
-    chunk = max(1, _PAIR_CHUNK // space.mesh.num_elements)
-    for s in range(0, cells.size, chunk):
-        c = cells[s:s + chunk]
-        overlap = np.ones((c.size, elo.shape[0]), dtype=bool)
-        for a in range(3):
-            overlap &= (elo[:, a] < chi[c, a, None] - eps) & (ehi[:, a] > clo[c, a, None] + eps)
-        k, e = np.nonzero(overlap)
-        c = c[k]
-        lo = np.maximum(elo[e], clo[c])
-        hi = np.minimum(ehi[e], chi[c])
-        d = hi - lo
-        x = 0.5 * (lo + hi)[:, None, :] + 0.5 * d[:, None, :] * gx[None, :, None]  # (n, g, 3)
-        xi = 2.0 * (x - elo[e][:, None, :]) / (ehi[e] - elo[e])[:, None, :] - 1.0
-        axis_int = np.einsum("na,g,ngap->nap", 0.5 * d, gw, lagrange_all(space.rule, xi))
-        yield e, c, tensor_rows(axis_int)
+    c = cells[k]
+    lo = np.maximum(elo[e], clo[c])
+    hi = np.minimum(ehi[e], chi[c])
+    d = hi - lo
+    x = 0.5 * (lo + hi)[:, None, :] + 0.5 * d[:, None, :] * gx[None, :, None]  # (n, g, 3)
+    xi = 2.0 * (x - elo[e][:, None, :]) / (ehi[e] - elo[e])[:, None, :] - 1.0
+    axis_int = np.einsum("na,g,ngap->nap", 0.5 * d, gw, lagrange_all(space.rule, xi))
+    return e, c, tensor_rows(axis_int)
 
 
 def assemble_coupling(space: SpectralSpace, fvmesh: FvMesh, points_per_axis: int = 3) -> CouplingMatrix:
@@ -153,13 +145,7 @@ def assemble_coupling(space: SpectralSpace, fvmesh: FvMesh, points_per_axis: int
     clo, chi, is_box = _cell_boxes(fvmesh, inc_cell, inc_face)
     if not space.mesh.aligned_boxes():
         is_box[:] = False
-    rows, cols, vals = [], [], []
-    hit = np.zeros(fvmesh.num_cells, dtype=bool)
-    for e, c, v in _clipped_entries(space, clo, chi, np.nonzero(is_box)[0], gx, gw):
-        hit[c] = True
-        rows.append(space.emap[e].ravel())
-        cols.append(np.repeat(c, space.nloc))
-        vals.append(v.ravel())
+    parts = [_clipped_entries(space, clo, chi, np.nonzero(is_box)[0], gx, gw)]
     sampled = np.nonzero(~is_box)[0]
     outside = 0
     if sampled.size:
@@ -168,18 +154,11 @@ def assemble_coupling(space: SpectralSpace, fvmesh: FvMesh, points_per_axis: int
         elem, xi = space.mesh.locate_points(np.concatenate(pts))
         inside = elem >= 0
         outside = int(inside.size - inside.sum())
-        hit[cell[inside]] = True
-        rows.append(space.emap[elem[inside]].ravel())
-        cols.append(np.repeat(cell[inside], space.nloc))
-        vals.append((np.concatenate(wts)[inside, None] * basis_rows(space, xi[inside])).ravel())
-    if rows:
-        m = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(space.ndof, fvmesh.num_cells),
-        ).tocsr()
-    else:
-        m = sp.csr_matrix((space.ndof, fvmesh.num_cells))
-    return CouplingMatrix(m, points_per_axis, outside, int(fvmesh.num_cells - hit.sum()))
+        parts.append((elem[inside], cell[inside], np.concatenate(wts)[inside, None] * basis_rows(space, xi[inside])))
+    e, c, v = (np.concatenate(a) for a in zip(*parts))  # (element, cell, values (n, nloc)) of both rules
+    m = sp.csr_matrix((v.ravel(), (space.emap[e].ravel(), np.repeat(c, space.nloc))),
+                      shape=(space.ndof, fvmesh.num_cells))
+    return CouplingMatrix(m, points_per_axis, outside, int(fvmesh.num_cells - np.unique(c).size))
 
 
 @dataclass

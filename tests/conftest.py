@@ -73,3 +73,44 @@ def rotated_mesh():
     box = generate_box_mesh([(0.0, 1.0), (0.0, 0.5), (0.0, 0.5)], (2, 1, 1))
     turn = Rotation.from_rotvec([0.3, -0.5, 0.7]).as_matrix()
     return HexMesh(box.vertices @ turn.T, box.elements, box.boundary)
+
+
+def _invert_map(mesh, e: int, x: np.ndarray) -> np.ndarray | None:
+    """Newton inversion of element e's trilinear map at the one point x, from
+    xi = 0: xi, or None when it diverges, meets a singular J or does not
+    converge in 50 steps."""
+    from semwave.mesh import shape_functions, shape_gradients
+
+    corners = mesh.corner_coords(e)
+    xi = np.zeros(3)
+    for _ in range(50):
+        res = shape_functions(xi) @ corners - x
+        if np.linalg.norm(res) < 1e-12 * max(mesh.h, 1e-30):
+            return xi
+        jac = np.einsum("cx,cd->xd", corners, shape_gradients(xi))
+        try:
+            xi = xi - np.linalg.solve(jac, res)
+        except np.linalg.LinAlgError:
+            return None
+        if np.max(np.abs(xi)) > 3.0:  # diverging: x not in this element
+            return None
+    return None
+
+
+def _locate_by_loop(mesh, x):
+    """Reference point location, one element at a time: the first bounding-box
+    candidate of x (boxes padded by 1e-9 h), in index order, whose inverse map
+    lands in [-1, 1]^3 to 1e-10; (element, clipped xi), or None outside."""
+    pad = 1e-9 * mesh.h
+    lo, hi = mesh.element_bboxes()
+    for e in np.nonzero(np.all((x >= lo - pad) & (x <= hi + pad), axis=1))[0]:
+        ref = _invert_map(mesh, int(e), x)
+        if ref is not None and np.all(np.abs(ref) <= 1.0 + 1e-10):
+            return int(e), np.clip(ref, -1.0, 1.0)
+    return None
+
+
+@pytest.fixture(scope="session")
+def locate_by_loop():
+    """The per-point reference location oracle, locate_by_loop(mesh, x)."""
+    return _locate_by_loop

@@ -770,6 +770,53 @@ def test_mesh_gen_unknown_tag_side_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "mesh.json").exists()
 
 
+@pytest.mark.parametrize("text", [None, "{", "[1, 2"])
+def test_unreadable_config_file_is_config_error(tmp_path, capsys, text):
+    """A config file that is missing or not JSON is one exit-2 problem naming the file."""
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    code = cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and err["error"] == "configuration"
+    assert len(err["problems"]) == 1 and err["problems"][0].startswith(f"config file {path}: ")
+
+
+def test_fv_file_cell_without_center_is_config_error(tmp_path, capsys):
+    cfg = _bad_config(tmp_path, "project", lambda cfg, tmp_path: None)
+    fv = json.loads(open(cfg["fv_file"]).read())
+    del fv["cells"][3]["center"]
+    (tmp_path / "fv" / "fv_source.json").write_text(json.dumps(fv))
+    assert _stage_problems(tmp_path, capsys, "project", cfg) == [
+        f"fv_file {cfg['fv_file']}: FV file entry lacks 'center'"]
+
+
+@pytest.mark.parametrize("content", [b"not an array", b"", "npz"])
+def test_unreadable_projected_load_file_is_config_error(tmp_path, capsys, content):
+    """A load file that np.load cannot read as one array is a source(projected) problem."""
+    good, bad = tmp_path / "good.npy", tmp_path / "bad.npy"
+    np.save(good, np.zeros(8))
+    if content == "npz":
+        with open(bad, "wb") as fh:
+            np.savez(fh, load=np.zeros(8))
+    else:
+        bad.write_bytes(content)
+    problems = _solve_problems(tmp_path, capsys, source={"type": "projected", "files": [str(good), str(bad)]})
+    assert len(problems) == 1 and problems[0].startswith(f"source(projected): load file {bad} is not a .npy array")
+
+
+def test_curle_observer_at_body_point_is_config_error(tmp_path, capsys):
+    """An observer on a force's body point is a problem raised before any file is written."""
+    cfg = _bad_config(tmp_path, "curle", lambda cfg, tmp_path: None)
+    cfg["forces"].append({"file": cfg["forces"][0]["file"], "body_point": [1.0, 0.0, 0.0]})
+    cfg["observers"] = {"b": [0.0, 1.0, 0.0], "a": [1, 0, 0], "c": [0.0, 0.0, 0.0]}
+    assert _stage_problems(tmp_path, capsys, "curle", cfg) == [
+        "observer 'a' coincides with the body_point of forces[1]",
+        "observer 'c' coincides with the body_point of forces[0]",
+    ]
+    assert not list((tmp_path / "o").glob("*.csv"))
+
+
 def test_check_walks_rows_in_order():
     """One problem per failing or missing key, in row order; '*' covers every
     entry of a list or object; rows under a parent that is absent or not an

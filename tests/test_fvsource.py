@@ -1,5 +1,7 @@
 """FV donor mesh, Lighthill source divergence, averaging and file I/O."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from semwave.fvsource import (
     FvError,
     FvField,
     FvMesh,
+    _face_fluxes,
     _face_values,
-    boundary_flux_total,
     generate_box_fv,
     lighthill_divergence,
     load_fv,
@@ -19,6 +21,11 @@ from semwave.fvsource import (
 )
 
 UNIT_BOX = [(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
+
+
+def boundary_flux_total(mesh: FvMesh, u: FvField, rho0: float) -> np.ndarray:
+    """Sum of rho0 u_F (u_F . n) |F| over boundary faces (conservation check)."""
+    return _face_fluxes(mesh, u, rho0)[mesh.neighbor < 0].sum(axis=0)
 
 
 def _shear(x, y, z):
@@ -338,4 +345,20 @@ def test_load_rejects_missing_arrays(tmp_path):
     path = tmp_path / "fv.json"
     path.write_text('{"version": "1", "cells": []}')
     with pytest.raises(FvError, match="faces"):
+        load_fv(path)
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("cell", "center"), ("cell", "volume"), ("face", "owner"), ("face", "neighbor"), ("face", "area"),
+    ("face", "normal"), ("face", "midpoint"), ("field", "values"),
+])
+def test_load_rejects_row_without_key(tmp_path, kind, key):
+    """A cell, face or field entry that lacks a key is an FvError naming the key."""
+    mesh = generate_box_fv(UNIT_BOX, (2, 1, 1))
+    path = tmp_path / "fv.json"
+    save_fv(path, mesh, [FvField(mesh, np.full(mesh.num_cells, t), time=t) for t in (0.5, 1.0)])
+    data = json.loads(path.read_text())
+    del data[kind + "s"][1][key]
+    path.write_text(json.dumps(data))
+    with pytest.raises(FvError, match=f"^FV file entry lacks '{key}'$"):
         load_fv(path)

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semwave.mesh import (
     CORNER_REF,
@@ -11,7 +13,6 @@ from semwave.mesh import (
     DegenerateElementError,
     HexMesh,
     MeshError,
-    RefPoint,
     generate_box_mesh,
     map_cofactors,
     map_jacobians,
@@ -21,6 +22,11 @@ from semwave.mesh import (
 )
 
 UNIT_BOX = [(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
+
+
+def _to_physical(mesh, e, xi) -> np.ndarray:
+    """x of element e's map at the one reference point xi."""
+    return map_points(mesh.corner_coords(e)[None], np.reshape(xi, (1, 3)))[0, 0]
 
 
 def test_single_element_counts():
@@ -99,19 +105,19 @@ def test_shape_gradients_finite_difference(rng):
 
 def test_map_centroid():
     mesh = generate_box_mesh(UNIT_BOX, (1, 1, 1))
-    x = mesh.map_to_physical(RefPoint(0, np.zeros(3)))
+    x = _to_physical(mesh, 0, np.zeros(3))
     np.testing.assert_allclose(x, [0.5, 0.5, 0.5], atol=1e-14)
 
 
 def test_map_corner():
     mesh = generate_box_mesh(UNIT_BOX, (1, 1, 1))
-    x = mesh.map_to_physical(RefPoint(0, np.array([-1.0, -1.0, -1.0])))
+    x = _to_physical(mesh, 0, [-1.0, -1.0, -1.0])
     np.testing.assert_allclose(x, [0.0, 0.0, 0.0], atol=1e-14)
 
 
 def test_map_scaled_face_midpoint():
     mesh = generate_box_mesh([(0, 2), (0, 2), (0, 2)], (1, 1, 1))
-    x = mesh.map_to_physical(RefPoint(0, np.array([1.0, 0.0, 0.0])))
+    x = _to_physical(mesh, 0, [1.0, 0.0, 0.0])
     np.testing.assert_allclose(x, [2.0, 1.0, 1.0], atol=1e-14)
 
 
@@ -122,7 +128,6 @@ def test_map_points_match_shape_functions(perturbed_mesh, rng):
     assert x.shape == (perturbed_mesh.num_elements, 7, 3)
     for e in (0, perturbed_mesh.num_elements - 1):
         np.testing.assert_allclose(x[e], shape_functions(ref) @ corners[e], rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(x[e, 3], perturbed_mesh.map_to_physical(RefPoint(e, ref[3])))
 
 
 def _jacobian(mesh, e, xi):
@@ -180,7 +185,7 @@ def test_locate_point_on_shared_face():
     # acceptable, but the reference coordinate must lie on that face and
     # map back to the physical point
     assert abs(abs(ref.xi[0]) - 1.0) < 1e-6
-    np.testing.assert_allclose(mesh.map_to_physical(ref), [0.5, 0.5, 0.5], atol=1e-9)
+    np.testing.assert_allclose(_to_physical(mesh, ref.element, ref.xi), [0.5, 0.5, 0.5], atol=1e-9)
 
 
 def test_locate_point_centroid():
@@ -213,39 +218,57 @@ def _location_points(mesh, rng):
             if (e, f) not in exterior:
                 ref = rng.uniform(-1, 1, 3)
                 ref[f // 2] = 1.0
-                on_faces.append(mesh.map_to_physical(RefPoint(e, ref)))
-    inside = [mesh.map_to_physical(RefPoint(e, rng.uniform(-0.95, 0.95, 3))) for e in range(mesh.num_elements)]
+                on_faces.append(_to_physical(mesh, e, ref))
+    inside = [_to_physical(mesh, e, rng.uniform(-0.95, 0.95, 3)) for e in range(mesh.num_elements)]
     lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
     outside = [hi + [0.1, 0.0, 0.0], lo - 0.2, [0.5 * (lo[0] + hi[0]), 0.5, hi[2] + 1e-6]]
     return np.vstack([mesh.vertices, on_faces, inside, outside]), len(outside)
 
 
-def test_locate_points_matches_per_point_loop(perturbed_mesh, rng):
+def test_locate_points_matches_per_point_loop(perturbed_mesh, rng, locate_by_loop):
     mesh = perturbed_mesh
     X, n_out = _location_points(mesh, rng)
     X = X[rng.permutation(len(X))]
     elem, xi = mesh.locate_points(X)
-    single = [mesh.locate_point(x) for x in X]
+    single = [locate_by_loop(mesh, x) for x in X]
     assert [r is None for r in single] == list(elem < 0)
     assert (elem < 0).sum() == n_out and np.all(np.isnan(xi[elem < 0]))
-    prev = -1
     for x, e, ref, r in zip(X, elem, xi, single):
-        if r is None:
-            continue
-        np.testing.assert_allclose(mesh.map_to_physical(RefPoint(int(e), ref)), x, atol=1e-12)
-        if e == r.element:
-            np.testing.assert_array_equal(ref, r.xi)
-        else:  # a tie: the batch keeps the previous point's element, the loop takes the lowest
-            assert e == prev and r.element < e
-        prev = e
+        if r is not None:
+            assert e == r[0]  # the same Newton steps, summed in another order
+            np.testing.assert_allclose(ref, r[1], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(_to_physical(mesh, e, ref), x, atol=1e-12)
     assert np.all(np.abs(xi[elem >= 0]) <= 1.0)
 
 
-def test_locate_points_tie_goes_to_previous_element():
+def test_locate_points_tie_goes_to_lowest_element():
     mesh = generate_box_mesh(UNIT_BOX, (2, 1, 1))
     elem, _ = mesh.locate_points([[0.75, 0.5, 0.5], [0.5, 0.5, 0.5], [0.25, 0.5, 0.5], [0.5, 0.2, 0.2]])
-    assert elem.tolist() == [1, 1, 0, 0]
+    assert elem.tolist() == [1, 0, 0, 0]
     assert mesh.locate_points(np.empty((0, 3)))[0].shape == (0,)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    e=st.integers(0, 11),
+    xi=st.tuples(*[st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))] * 3),  # faces, edges, corners too
+)
+@settings(max_examples=60, deadline=None)
+def test_locate_points_inverts_map_property(seed, e, xi):
+    """On a randomly perturbed mesh, the image x of (e, xi) is located in e,
+    and its reference point maps back to x within 1e-12 h; or, when xi lies on
+    a face e shares, in a lower-index element.  A neighbour accepts x up to
+    1e-10 outside its reference cube and clips, so there x moves by <= 1e-10 h."""
+    box = generate_box_mesh([(0.0, 1.5), (0.0, 1.0), (0.0, 1.0)], (3, 2, 2))
+    v = box.vertices.copy()
+    inner = np.all((v > 1e-12) & (v < box.vertices.max(axis=0) - 1e-12), axis=1)
+    v[inner] += np.random.default_rng(seed).uniform(-0.12, 0.12, (inner.sum(), 3))
+    mesh = HexMesh(v, box.elements, box.boundary)
+    x = _to_physical(mesh, e, xi)
+    elem, ref = mesh.locate_points(x[None])
+    assert elem[0] == e or (0 <= elem[0] < e and np.abs(xi).max() >= 1.0 - 1e-9)
+    tol = 1e-12 if elem[0] == e else 1e-10
+    assert np.linalg.norm(_to_physical(mesh, elem[0], ref[0]) - x) <= tol * mesh.h
 
 
 @pytest.mark.parametrize("points", [

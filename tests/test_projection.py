@@ -325,37 +325,31 @@ def test_non_aligned_elements_sample_every_cell(perturbed_mesh):
     assert coupling.outside_samples == total_outside
 
 
-def _per_sample_coupling(space, fv, npts):
+def _per_sample_coupling(space, fv, npts, locate_by_loop):
     """Sampled coupling of every cell, one sample at a time: each sample is
-    tried first in the element of the last sample found, then located by
-    locate_point, and weighted by the per-point tensor product of the 1D
-    cardinal values; returns (dense matrix, samples outside the mesh)."""
+    located by the per-point loop oracle and weighted by the per-point tensor
+    product of the 1D cardinal values; returns (dense matrix, samples outside
+    the mesh)."""
     from semwave.gll import lagrange_all
     from semwave.projection import _cell_samples
 
-    mesh = space.mesh
     gx, gw = np.polynomial.legendre.leggauss(npts)
     m = np.zeros((space.ndof, fv.num_cells))
-    outside, last = 0, None
+    outside = 0
     for cell in range(fv.num_cells):
         faces = sorted(np.nonzero((fv.owner == cell) | (fv.neighbor == cell))[0].tolist())
         for x, w in zip(*_cell_samples(fv, cell, faces, gx, gw)):
-            xi = None if last is None else mesh._invert_map(last, x)
-            if xi is not None and np.all(np.abs(xi) <= 1.0 + 1e-10):
-                e, xi = last, np.clip(xi, -1.0, 1.0)
-            else:
-                ref = mesh.locate_point(x)
-                if ref is None:
-                    outside += 1
-                    continue
-                e, xi = ref.element, ref.xi
-            last = e
+            found = locate_by_loop(space.mesh, x)
+            if found is None:
+                outside += 1
+                continue
+            e, xi = found
             lx, ly, lz = (lagrange_all(space.rule, c) for c in xi)
             np.add.at(m[:, cell], space.emap[e], w * np.einsum("i,j,k->kji", lx, ly, lz).ravel())
     return m, outside
 
 
-def test_sheared_slab_sampled_coupling_matches_per_sample_loop():
+def test_sheared_slab_sampled_coupling_matches_per_sample_loop(locate_by_loop):
     """The batched sampled coupling on a non-affine sheared slab (interior
     x-shear, boundaries fixed) over 5:1 FV cells equals the per-sample loop,
     outside samples included: the pyramid bases of the anisotropic cells
@@ -369,7 +363,7 @@ def test_sheared_slab_sampled_coupling_matches_per_sample_loop():
     space = build_space(HexMesh(v, box.elements, box.boundary), 2)
     fv = generate_box_fv(slab, (4, 4, 2))
     coupling = assemble_coupling(space, fv)
-    expected, outside = _per_sample_coupling(space, fv, 3)
+    expected, outside = _per_sample_coupling(space, fv, 3, locate_by_loop)
     got = coupling.matrix.toarray()
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15 * np.abs(expected).max())
     assert coupling.outside_samples == outside == 384

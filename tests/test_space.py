@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from semwave import build_space, evaluate, generate_box_mesh, interpolate, l2_error
 from semwave.gll import lagrange_all
-from semwave.mesh import RefPoint
+from semwave.mesh import map_points
 from semwave.assembly import surface_quadrature
 from semwave.space import SpectralField, basis_rows, face_local_nodes, write_vtk
 
@@ -35,9 +35,7 @@ def test_emap_consistent_with_coords(cube2_space_r2):
     ref = space.local_nodes_ref()
     for e in (0, 5):
         for q in (0, 13, 26):
-            from semwave.mesh import RefPoint
-
-            x = space.mesh.map_to_physical(RefPoint(e, ref[q]))
+            x = map_points(space.mesh.corner_coords(e)[None], ref[q][None])[0, 0]
             np.testing.assert_allclose(space.node_coords[space.emap[e, q]], x, atol=1e-12)
 
 
