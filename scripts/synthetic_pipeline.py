@@ -5,7 +5,11 @@ the source onto the spectral space, and propagate it with absorbing
 walls.  Thin wrapper over the three CLI stages; all intermediate
 artifacts (FV source file, projected loads, conservation report, probe
 CSV, manifests) land in the output directory.  Each stage prints its
-wall time.
+wall time.  The run fails (non-zero exit) when a stage fails or when the
+projection's conservation report breaks the transfer's invariants: column
+sums off the cell volumes by more than 1e-12 relative, any sample outside
+the acoustic mesh or empty column, or transferred masses that differ by
+more than 1e-12 relative.
 
     PYTHONPATH=src python scripts/synthetic_pipeline.py --out pipeline_results
 """
@@ -47,6 +51,14 @@ def main() -> None:
     }, out / "proj")
     report = json.loads((out / "proj" / "conservation_report.json").read_text())
     print("conservation report:", json.dumps(report, indent=2))
+    mass_fv, mass_ac = report["transferred_mass_fv"], report["transferred_mass_acoustic"]
+    broken = [name for name, bad in (
+        ("column sums", report["column_sum_max_rel_error"] > 1e-12),
+        ("outside samples or empty columns", report["outside_samples"] != 0 or report["empty_columns"] != 0),
+        ("transferred masses", abs(mass_fv - mass_ac) > 1e-12 * max(abs(mass_fv), abs(mass_ac))),
+    ) if bad]
+    if broken:
+        raise SystemExit(f"conservation report fails: {', '.join(broken)}")
 
     stage("solve", {
         "version": "1", "rho0": rho0, "c0": c0, "degree": 2,

@@ -53,15 +53,13 @@ class FvMesh:
     def num_faces(self) -> int:
         return self.owner.shape[0]
 
-    def cell_faces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Face incidences grouped by cell, faces ascending within each cell:
-        (cell, face, start), cell c bounded by face[start[c]:start[c + 1]]."""
+    def cell_faces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Face incidences (cell, face), by cell, faces ascending within each cell."""
         interior = np.nonzero(self.neighbor >= 0)[0]
         cell = np.concatenate([self.owner, self.neighbor[interior]])
         face = np.concatenate([np.arange(self.num_faces), interior])
         order = np.lexsort((face, cell))
-        cell, face = cell[order], face[order]
-        return cell, face, np.searchsorted(cell, np.arange(self.num_cells + 1))
+        return cell[order], face[order]
 
     def validate(self):
         for name in ("centers", "volumes", "area", "normal", "midpoint"):
@@ -164,7 +162,7 @@ def _cell_gradients(mesh: FvMesh, values: np.ndarray, cells: np.ndarray) -> np.n
     the minimum-norm solution, so a direction without neighbors gets zero
     slope.  Cells with equally many neighbors are solved together."""
     vals2 = values if values.ndim == 2 else values[:, None]
-    cell, face, _ = mesh.cell_faces()
+    cell, face = mesh.cell_faces()
     inner = mesh.neighbor[face] >= 0
     # owner + neighbor - cell is the cell across each interior face
     cell, other = cell[inner], (mesh.owner + mesh.neighbor)[face[inner]] - cell[inner]
@@ -286,6 +284,13 @@ def load_fv(path) -> tuple[FvMesh, list[FvField]]:
     for key in ("cells", "faces"):
         if key not in data:
             raise FvError(f"FV file missing {key!r} array")
+    for key in ("cells", "faces", "fields"):
+        entries = data.get(key, [])
+        if not isinstance(entries, list):
+            raise FvError(f"FV file {key!r} is not an array, got {type(entries).__name__}")
+        bad = next((i for i, entry in enumerate(entries) if not isinstance(entry, dict)), None)
+        if bad is not None:
+            raise FvError(f"FV file {key}[{bad}] is not an object, got {type(entries[bad]).__name__}")
     cells, faces = data["cells"], data["faces"]
     try:
         mesh = FvMesh(

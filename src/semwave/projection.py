@@ -12,12 +12,16 @@ factorises into Ix[a] * Iy[b] * Iz[c] with I_d[a] = sum_g (d_d / 2) w_g
 l_a(xi_d,g) over the clip width d_d: each cell-element pair needs p numbers
 per axis, all pairs in one batch.
 Other cells, and every cell when the elements are not aligned boxes, are
-sampled instead: each FV cell is decomposed into one pyramid per face
-(apex at the cell center, base the face rebuilt as an equal-area square
-around its midpoint) and a tensor Gauss rule is mapped onto each pyramid
-by the Duffy transform; one ``HexMesh.locate_points`` call places all their
-samples.  Samples or cell parts outside the acoustic mesh contribute zero,
-so partial overlaps are handled naturally.
+sampled instead, all (cell, face) incidences in one batch: each cell is one
+pyramid per face, apex at the cell center and base the face rebuilt around
+its midpoint on two tangents.  A box cell's base is its true face, so its
+six pyramids tile it exactly on any element shape; any other face becomes
+an equal-area square.  On each pyramid the Duffy collapse is integrated by
+Gauss-Legendre across the base and Gauss-Jacobi (weight s^2) from apex to
+base, so the weights of a box cell sum to its volume even at one point per
+axis.  One ``HexMesh.locate_points`` call places all samples; samples or
+cell parts outside the acoustic mesh contribute zero, so partial overlaps
+are handled naturally.
 """
 from __future__ import annotations
 
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import roots_jacobi
 
 from .fvsource import FvMesh
 from .gll import lagrange_all
@@ -57,43 +62,32 @@ def consistent_mass(space: SpectralSpace) -> sp.csr_matrix:
     return m.tocsr()
 
 
-def _face_tangents(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ref = np.zeros(3)
-    ref[np.argmin(np.abs(n))] = 1.0
-    t1 = np.cross(n, ref)
-    t1 /= np.linalg.norm(t1)
-    return t1, np.cross(n, t1)
-
-
-def _cell_samples(mesh: FvMesh, cell: int, faces: list[int], gx, gw) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature points and weights covering one FV cell (pyramid per face)."""
-    apex = mesh.centers[cell]
-    # Duffy direction from apex to base: s in (0,1]
-    s = 0.5 * (gx + 1.0)
-    ws = 0.5 * gw
-    pts, wts = [], []
-    for f in faces:
-        n = mesh.normal[f] if mesh.owner[f] == cell else -mesh.normal[f]
-        mid = mesh.midpoint[f]
-        h = float((mid - apex) @ n)
-        if h <= 0:
-            continue  # degenerate pyramid: cell not star-shaped w.r.t. center
-        side = np.sqrt(mesh.area[f])
-        t1, t2 = _face_tangents(n)
-        base = (
-            mid[None, None, :]
-            + 0.5 * side * gx[:, None, None] * t1
-            + 0.5 * side * gx[None, :, None] * t2
-        )  # (g, g, 3)
-        x = apex + s[:, None, None, None] * (base[None] - apex)
-        w = (
-            ws[:, None, None] * s[:, None, None] ** 2
-            * gw[None, :, None] * gw[None, None, :]
-            * (0.5 * side) ** 2 * h
-        )
-        pts.append(x.reshape(-1, 3))
-        wts.append(w.ravel())
-    return np.concatenate(pts), np.concatenate(wts)
+def _cell_samples(mesh: FvMesh, cell: np.ndarray, face: np.ndarray, lo, hi, is_box, npts: int):
+    """Pyramid rule over the (cell, face) incidences given, all at once, with
+    npts points per axis; box cells (``is_box``, bounds lo/hi) take their true
+    faces as bases.  Returns (points, weights, cell of each point), in
+    incidence order."""
+    gx, gw = np.polynomial.legendre.leggauss(npts)
+    sx, sw = roots_jacobi(npts, 0.0, 2.0)  # weight (1 + x)^2 holds the s^2 of the collapse
+    s, ws = 0.5 * (sx + 1.0), sw / 8.0  # s from apex (0) to base (1); sum(ws) = 1/3
+    n = mesh.normal[face] * np.where(mesh.owner[face] == cell, 1.0, -1.0)[:, None]
+    h = np.einsum("fx,fx->f", mesh.midpoint[face] - mesh.centers[cell], n)
+    keep = h > 0  # else a degenerate pyramid: the cell is not star-shaped w.r.t. its center
+    cell, face, n, h = cell[keep], face[keep], n[keep], h[keep]
+    t1 = np.cross(n, np.eye(3)[np.argmin(np.abs(n), axis=1)])
+    t1 /= np.linalg.norm(t1, axis=1)[:, None]
+    t2 = np.cross(n, t1)
+    extent = [np.einsum("fx,fx->f", np.abs(t), (hi - lo)[cell]) for t in (t1, t2)]  # box side along t
+    a1, a2 = (0.5 * np.where(is_box[cell], e, np.sqrt(mesh.area[face])) for e in extent)  # half-sides
+    base = (
+        mesh.midpoint[face][:, None, None]
+        + a1[:, None, None, None] * gx[None, :, None, None] * t1[:, None, None]
+        + a2[:, None, None, None] * gx[None, None, :, None] * t2[:, None, None]
+    )  # (f, g, g, 3)
+    apex = mesh.centers[cell][:, None, None, None]
+    x = apex + s[None, :, None, None, None] * (base[:, None] - apex)  # (f, s, g, g, 3)
+    w = np.einsum("s,u,v,f->fsuv", ws, gw, gw, a1 * a2 * h)
+    return x.reshape(-1, 3), w.ravel(), np.repeat(cell, npts ** 3)
 
 
 def _cell_boxes(mesh: FvMesh, cell: np.ndarray, face: np.ndarray):
@@ -141,24 +135,19 @@ def assemble_coupling(space: SpectralSpace, fvmesh: FvMesh, points_per_axis: int
     if fvmesh.num_faces == 0:
         raise ValueError("FV mesh has no faces; cannot decompose cells for sampling")
     gx, gw = np.polynomial.legendre.leggauss(points_per_axis)
-    inc_cell, inc_face, start = fvmesh.cell_faces()
+    inc_cell, inc_face = fvmesh.cell_faces()
     clo, chi, is_box = _cell_boxes(fvmesh, inc_cell, inc_face)
-    if not space.mesh.aligned_boxes():
-        is_box[:] = False
-    parts = [_clipped_entries(space, clo, chi, np.nonzero(is_box)[0], gx, gw)]
-    sampled = np.nonzero(~is_box)[0]
-    outside = 0
-    if sampled.size:
-        pts, wts = zip(*(_cell_samples(fvmesh, c, inc_face[start[c]:start[c + 1]].tolist(), gx, gw) for c in sampled))
-        cell = np.repeat(sampled, [w.size for w in wts])
-        elem, xi = space.mesh.locate_points(np.concatenate(pts))
-        inside = elem >= 0
-        outside = int(inside.size - inside.sum())
-        parts.append((elem[inside], cell[inside], np.concatenate(wts)[inside, None] * basis_rows(space, xi[inside])))
+    clipped = is_box & space.mesh.aligned_boxes()
+    parts = [_clipped_entries(space, clo, chi, np.nonzero(clipped)[0], gx, gw)]
+    sampled = ~clipped[inc_cell]
+    pts, wts, cell = _cell_samples(fvmesh, inc_cell[sampled], inc_face[sampled], clo, chi, is_box, points_per_axis)
+    elem, xi = space.mesh.locate_points(pts)
+    inside = elem >= 0
+    parts.append((elem[inside], cell[inside], wts[inside, None] * basis_rows(space, xi[inside])))
     e, c, v = (np.concatenate(a) for a in zip(*parts))  # (element, cell, values (n, nloc)) of both rules
     m = sp.csr_matrix((v.ravel(), (space.emap[e].ravel(), np.repeat(c, space.nloc))),
                       shape=(space.ndof, fvmesh.num_cells))
-    return CouplingMatrix(m, points_per_axis, outside, int(fvmesh.num_cells - np.unique(c).size))
+    return CouplingMatrix(m, points_per_axis, int(np.count_nonzero(~inside)), int(fvmesh.num_cells - np.unique(c).size))
 
 
 @dataclass

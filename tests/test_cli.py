@@ -8,7 +8,7 @@ import pytest
 
 from semwave import cli
 from semwave.fvsource import load_fv
-from semwave.mesh import HexMesh
+from semwave.mesh import HexMesh, generate_box_mesh
 from semwave.newmark import NewmarkConfig
 
 
@@ -789,6 +789,53 @@ def test_fv_file_cell_without_center_is_config_error(tmp_path, capsys):
     (tmp_path / "fv" / "fv_source.json").write_text(json.dumps(fv))
     assert _stage_problems(tmp_path, capsys, "project", cfg) == [
         f"fv_file {cfg['fv_file']}: FV file entry lacks 'center'"]
+
+
+@pytest.mark.parametrize("command", ["fv-source", "project"])
+@pytest.mark.parametrize("key", ["cells", "faces", "fields"])
+@pytest.mark.parametrize("bad, expected", [
+    (1, "{key}[1] is not an object, got int"), ("abc", "'{key}' is not an array, got str"),
+])
+def test_fv_file_entry_not_an_object_is_config_error(tmp_path, capsys, command, key, bad, expected):
+    """An FV file whose cells, faces or fields array is not an array, or holds
+    an entry that is not an object, is one problem naming the entry."""
+    from semwave.fvsource import FvField, generate_box_fv, save_fv
+
+    fv = generate_box_fv([(0, 1)] * 3, (2, 1, 1))
+    path = tmp_path / "fv.json"
+    save_fv(path, fv, [FvField(fv, np.ones((2, 3)), time=t) for t in (0.0, 1.0)])
+    data = json.loads(path.read_text())
+    if bad == 1:
+        data[key][1] = bad
+    else:
+        data[key] = bad
+    path.write_text(json.dumps(data))
+    cfg = {"version": "1", "fv_file": str(path), "rho0": 1.0, "degree": 1, "mesh": _SOLVE_1X1["mesh"]}
+    problems = _stage_problems(tmp_path, capsys, command, cfg)
+    assert problems == [f"fv_file {path}: FV file " + expected.format(key=key)]
+
+
+@pytest.mark.parametrize("points_per_axis", [1, 3])
+def test_project_on_sheared_mesh_file_is_conservative(tmp_path, points_per_axis):
+    """project on a non-affine sheared slab read from mesh.file, over 5:1 FV
+    cells: every cell is sampled, no sample falls outside the mesh and every
+    column sums to its cell volume."""
+    slab = [[0.0, 1.0], [0.0, 1.0], [0.0, 0.1]]
+    box = generate_box_mesh(slab, (4, 4, 2))
+    v = box.vertices.copy()
+    v[:, 0] += 0.05 * np.sin(np.pi * v[:, 0]) * np.sin(2.0 * np.pi * v[:, 1])
+    mesh_path = tmp_path / "sheared.json"
+    HexMesh(v, box.elements, box.boundary).save(mesh_path)
+    fv_cfg = {"version": "1", "rho0": 1.0, "synthetic": {"box": slab, "div": [4, 4, 2], "field": "shear_xy"}}
+    fv_path = _write_config(tmp_path, fv_cfg, "fv.json")
+    assert cli.main(["fv-source", "--config", fv_path, "--out", str(tmp_path / "fv")]) == 0
+    pr_cfg = {"version": "1", "fv_file": str(tmp_path / "fv" / "fv_source.json"), "degree": 2,
+              "mesh": {"file": str(mesh_path)}, "points_per_axis": points_per_axis}
+    pr_path = _write_config(tmp_path, pr_cfg, "pr.json")
+    assert cli.main(["project", "--config", pr_path, "--out", str(tmp_path / "proj")]) == 0
+    report = json.loads((tmp_path / "proj" / "conservation_report.json").read_text())
+    assert report["outside_samples"] == report["empty_columns"] == 0
+    assert report["column_sum_max_rel_error"] <= 1e-12
 
 
 @pytest.mark.parametrize("content", [b"not an array", b"", "npz"])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semwave import build_space, generate_box_mesh, interpolate, l2_error
 from semwave.assembly import assemble_convective
@@ -274,18 +276,47 @@ def _split_xmin_face(fv, cell):
     )
 
 
-def _sampled_oracle(space, fv, cell, npts):
-    """Column of one cell by the pyramid sampling rule, each sample located
-    and weighted on its own; returns (column, samples outside the mesh)."""
-    from semwave.projection import _cell_samples
-    from semwave.space import basis_rows
+def _pyramid_samples(fv, cell, box, npts):
+    """Pyramid rule of one FV cell, face by face: apex at the cell center, base
+    the face rebuilt around its midpoint on the tangents t1 = n x e (e the axis
+    of the smallest |n| component) and t2 = n x t1, as the true face when the
+    cell is the box (lo, hi), else as an equal-area square.  Gauss-Legendre
+    across the base, Gauss-Jacobi (weight s^2) from apex to base; returns
+    (points, weights)."""
+    from scipy.special import roots_jacobi
 
     gx, gw = np.polynomial.legendre.leggauss(npts)
-    faces = sorted(np.nonzero((fv.owner == cell) | (fv.neighbor == cell))[0].tolist())
-    pts, wts = _cell_samples(fv, cell, faces, gx, gw)
+    sx, sw = roots_jacobi(npts, 0, 2)
+    s, ws = 0.5 * (sx + 1.0), sw / 8.0
+    apex = fv.centers[cell]
+    pts, wts = [], []
+    for f in sorted(np.nonzero((fv.owner == cell) | (fv.neighbor == cell))[0].tolist()):
+        n = fv.normal[f] if fv.owner[f] == cell else -fv.normal[f]
+        mid = fv.midpoint[f]
+        h = float((mid - apex) @ n)
+        if h <= 0:
+            continue
+        ref = np.zeros(3)
+        ref[np.argmin(np.abs(n))] = 1.0
+        t1 = np.cross(n, ref)
+        t1 /= np.linalg.norm(t1)
+        t2 = np.cross(n, t1)
+        side = [np.sqrt(fv.area[f])] * 2 if box is None else [np.abs(t) @ (box[1] - box[0]) for t in (t1, t2)]
+        a1, a2 = 0.5 * side[0], 0.5 * side[1]
+        base = mid + a1 * gx[:, None, None] * t1 + a2 * gx[None, :, None] * t2  # (g, g, 3)
+        pts.append((apex + s[:, None, None, None] * (base[None] - apex)).reshape(-1, 3))
+        wts.append((ws[:, None, None] * gw[None, :, None] * gw[None, None, :] * a1 * a2 * h).ravel())
+    return np.concatenate(pts), np.concatenate(wts)
+
+
+def _sampled_oracle(space, fv, cell, npts, box):
+    """Column of one cell by the pyramid rule, each sample located and weighted
+    on its own; returns (column, samples outside the mesh)."""
+    from semwave.space import basis_rows
+
     col = np.zeros(space.ndof)
     outside = 0
-    for x, w in zip(pts, wts):
+    for x, w in zip(*_pyramid_samples(fv, cell, box, npts)):
         ref = space.mesh.locate_point(x)
         if ref is None:
             outside += 1
@@ -303,7 +334,7 @@ def test_non_box_cell_takes_sampled_branch():
     fv = _split_xmin_face(generate_box_fv(bounds, (2, 1, 1)), cell=0)
     coupling = assemble_coupling(space, fv, points_per_axis=2)
     got = coupling.matrix.toarray()
-    sampled, outside = _sampled_oracle(space, fv, 0, 2)
+    sampled, outside = _sampled_oracle(space, fv, 0, 2, None)
     np.testing.assert_allclose(got[:, 0], sampled, rtol=0, atol=1e-15)
     assert coupling.outside_samples == outside == 0
     clipped = _clip_oracle(space, _box_fv_cells(bounds, (2, 1, 1)), 2)
@@ -314,31 +345,50 @@ def test_non_box_cell_takes_sampled_branch():
 
 def test_non_aligned_elements_sample_every_cell(perturbed_mesh):
     space = build_space(perturbed_mesh, 1)
-    fv = generate_box_fv([(0.0, 1.5), (0.0, 1.0), (0.0, 1.0)], (3, 2, 2))
+    bounds, div = [(0.0, 1.5), (0.0, 1.0), (0.0, 1.0)], (3, 2, 2)
+    fv = generate_box_fv(bounds, div)
     coupling = assemble_coupling(space, fv)
     got = coupling.matrix.toarray()
     total_outside = 0
-    for cell in range(fv.num_cells):
-        col, outside = _sampled_oracle(space, fv, cell, 3)
+    for cell, box in enumerate(_box_fv_cells(bounds, div)):
+        col, outside = _sampled_oracle(space, fv, cell, 3, box)
         np.testing.assert_allclose(got[:, cell], col, rtol=0, atol=1e-14)
         total_outside += outside
     assert coupling.outside_samples == total_outside
 
 
-def _per_sample_coupling(space, fv, npts, locate_by_loop):
-    """Sampled coupling of every cell, one sample at a time: each sample is
-    located by the per-point loop oracle and weighted by the per-point tensor
-    product of the 1D cardinal values; returns (dense matrix, samples outside
-    the mesh)."""
-    from semwave.gll import lagrange_all
-    from semwave.projection import _cell_samples
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_sampled_box_cell_matches_clipped_on_affine_element(degree):
+    """Inside an affine element the basis is a polynomial of degree r per axis,
+    so on a box cell the pyramid rule is exact once n >= (3r + 2) / 2 and the
+    sampled column equals the clipped one.  The second element is distorted,
+    so the mesh is not all aligned boxes and every cell is sampled."""
+    from semwave.mesh import HexMesh
 
-    gx, gw = np.polynomial.legendre.leggauss(npts)
+    box = generate_box_mesh([(0.0, 2.0), (0.0, 1.0), (0.0, 1.0)], (2, 1, 1))
+    v = box.vertices.copy()
+    v[np.all(v == [2.0, 1.0, 1.0], axis=1)] = [2.2, 1.1, 1.15]
+    mesh = HexMesh(v, box.elements, box.boundary)
+    assert not mesh.aligned_boxes()
+    space = build_space(mesh, degree)
+    bounds, div = [(0.1, 0.9), (0.2, 0.6), (0.15, 0.95)], (2, 1, 3)
+    npts = -(-(3 * degree + 2) // 2)
+    got = assemble_coupling(space, generate_box_fv(bounds, div), npts).matrix.toarray()
+    clipped = _clip_oracle(space, _box_fv_cells(bounds, div), npts)
+    assert np.abs(got - clipped).max() <= 1e-13 * np.abs(clipped).max()
+
+
+def _per_sample_coupling(space, fv, npts, locate_by_loop, boxes):
+    """Sampled coupling of every cell (cell c the box boxes[c]), one sample at
+    a time: each sample is located by the per-point loop oracle and weighted by
+    the per-point tensor product of the 1D cardinal values; returns (dense
+    matrix, samples outside the mesh)."""
+    from semwave.gll import lagrange_all
+
     m = np.zeros((space.ndof, fv.num_cells))
     outside = 0
-    for cell in range(fv.num_cells):
-        faces = sorted(np.nonzero((fv.owner == cell) | (fv.neighbor == cell))[0].tolist())
-        for x, w in zip(*_cell_samples(fv, cell, faces, gx, gw)):
+    for cell, box in enumerate(boxes):
+        for x, w in zip(*_pyramid_samples(fv, cell, box, npts)):
             found = locate_by_loop(space.mesh, x)
             if found is None:
                 outside += 1
@@ -349,22 +399,71 @@ def _per_sample_coupling(space, fv, npts, locate_by_loop):
     return m, outside
 
 
-def test_sheared_slab_sampled_coupling_matches_per_sample_loop(locate_by_loop):
-    """The batched sampled coupling on a non-affine sheared slab (interior
-    x-shear, boundaries fixed) over 5:1 FV cells equals the per-sample loop,
-    outside samples included: the pyramid bases of the anisotropic cells
-    overhang the cells, and the mesh."""
+SLAB = [(0.0, 1.0), (0.0, 1.0), (0.0, 0.1)]
+
+
+def _sheared_slab_space():
+    """Degree-2 space on 4x4x2 non-affine elements of SLAB: an interior x-shear,
+    boundaries fixed."""
     from semwave.mesh import HexMesh
 
-    slab = [(0.0, 1.0), (0.0, 1.0), (0.0, 0.1)]
-    box = generate_box_mesh(slab, (4, 4, 2))
+    box = generate_box_mesh(SLAB, (4, 4, 2))
     v = box.vertices.copy()
     v[:, 0] += 0.05 * np.sin(np.pi * v[:, 0]) * np.sin(2.0 * np.pi * v[:, 1])
-    space = build_space(HexMesh(v, box.elements, box.boundary), 2)
-    fv = generate_box_fv(slab, (4, 4, 2))
+    return build_space(HexMesh(v, box.elements, box.boundary), 2)
+
+
+def test_sheared_slab_sampled_coupling_matches_per_sample_loop(locate_by_loop):
+    """The batched sampled coupling on the sheared slab over 5:1 FV cells
+    equals the per-sample loop.  Each box cell's pyramids stand on its true
+    faces, so no sample leaves the cell, or the mesh."""
+    space = _sheared_slab_space()
+    fv = generate_box_fv(SLAB, (4, 4, 2))
     coupling = assemble_coupling(space, fv)
-    expected, outside = _per_sample_coupling(space, fv, 3, locate_by_loop)
+    expected, outside = _per_sample_coupling(space, fv, 3, locate_by_loop, _box_fv_cells(SLAB, (4, 4, 2)))
     got = coupling.matrix.toarray()
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15 * np.abs(expected).max())
-    assert coupling.outside_samples == outside == 384
+    assert coupling.outside_samples == outside == 0
     assert coupling.empty_columns == 0
+    np.testing.assert_allclose(coupling.column_sums(), fv.volumes, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("npts", [1, 2, 3, 4])
+def test_sheared_slab_columns_sum_to_cell_volumes(npts):
+    """Gauss-Jacobi carries the s^2 of the collapse, so even one point per
+    axis integrates the cell volume exactly."""
+    fv = generate_box_fv(SLAB, (4, 4, 2))
+    coupling = assemble_coupling(_sheared_slab_space(), fv, npts)
+    assert coupling.outside_samples == coupling.empty_columns == 0
+    np.testing.assert_allclose(coupling.column_sums(), fv.volumes, rtol=1e-13, atol=0)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    div=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4)),
+    ratio=st.tuples(*[st.floats(1.0, 8.0)] * 3),
+    scale=st.floats(0.3, 1.0),
+    shift=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+    degree=st.integers(1, 2),
+    npts=st.integers(1, 4),
+)
+@settings(max_examples=40, deadline=None)
+def test_sampled_columns_sum_to_cell_volumes_property(seed, div, ratio, scale, shift, degree, npts):
+    """On a mesh with randomly perturbed interior vertices (planar boundary),
+    any box FV grid inside it, of cells up to 8:1, is sampled with no sample
+    outside the mesh and every column summing to its cell volume: the
+    pyramids tile each cell and the basis is a partition of unity."""
+    from semwave.mesh import HexMesh
+
+    domain = np.array([(0.0, 1.5), (0.0, 1.0), (0.0, 1.0)])
+    box = generate_box_mesh(domain, (3, 2, 2))
+    v = box.vertices.copy()
+    inner = np.all((v > 1e-12) & (v < domain[:, 1] - 1e-12), axis=1)
+    v[inner] += np.random.default_rng(seed).uniform(-0.12, 0.12, (inner.sum(), 3))
+    length = domain[:, 1] - domain[:, 0]
+    d = np.array(ratio) * scale * np.min(length / (np.array(div) * ratio))  # cell sizes, aspect <= 8
+    lo = domain[:, 0] + np.array(shift) * (length - np.array(div) * d)
+    fv = generate_box_fv(np.stack([lo, lo + np.array(div) * d], axis=1), div)
+    coupling = assemble_coupling(build_space(HexMesh(v, box.elements, box.boundary), degree), fv, npts)
+    assert coupling.outside_samples == coupling.empty_columns == 0
+    np.testing.assert_allclose(coupling.column_sums(), fv.volumes, rtol=1e-12, atol=0)
