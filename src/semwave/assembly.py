@@ -1,92 +1,128 @@
 """SEM operators with numerical integration (GLL collocation).
 
 The mass matrix is diagonal because quadrature nodes coincide with the
-nodal basis points.  On axis-aligned boxes the stiffness is one assembled
-CSR matrix of the structural nonzeros (box_stiffness).  Otherwise it, and
-always the convective operators, are applied matrix-free and sum-factorised
-(Deville, Fischer & Mund 2002, section 4): 1D differentiation matmuls on each
-(p, p, p) element block, then the 6 symmetric components of the metric.
-Impedance boundary damping is a diagonal built from the 2D GLL face rule
-collocated with the volume DOFs.
+nodal basis points.  The stiffness is one assembled CSR matrix built from the
+element metric (stiffness_matrix) while a local row of K_e is at most
+CSR_MAX_WIDTH entries wide: up to r = 9 on axis-aligned boxes, r = 2 on other
+hexes.  Above, it, and always the convective operators, are applied
+matrix-free and sum-factorised (Deville, Fischer & Mund 2002, section 4): 1D
+differentiation matmuls on each (p, p, p) element block, then the 6 symmetric
+components of the metric.  Impedance boundary damping is a diagonal built
+from the 2D GLL face rule collocated with the volume DOFs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
 
-from .gll import diff_matrix
+from .gll import diff_matrix, gll_rule, tensor_rule
 from .mesh import FACE_TANGENTS, map_cofactors, map_jacobians
 from .space import SpectralSpace, basis_rows, face_local_nodes
 
 
-# Highest degree of the assembled box stiffness: at ~24k DOFs on one BLAS
-# thread it beats the sum-factorised kernel up to r = 9, ties at r = 10 with
-# ~6x the operator memory and loses from r = 11 on, as its nonzeros a row grow
-# like 3r + 1 (table in CHANGES.md).
-BOX_CSR_MAX_DEGREE = 9
+# Widest local row of K_e that is assembled.  A row holds W = 3r + 1 entries on
+# a box and (r+1)^3 - r^3 on any other hex, while the sum-factorised kernel gets
+# cheaper a DOF as r grows.  Applies at ~24k DOFs on one BLAS thread, CSR/g6 ms
+# (W), two runs: boxes r = 2 0.19-0.22/2.1-2.3 (7), r = 9 0.44-0.54/0.56-0.67
+# (28), r = 10 0.67-0.92/0.72-0.94 (31); curved r = 2 0.62-0.81/2.4-3.3 (19),
+# r = 3 1.17-1.50/1.26-1.47 (37), r = 4 2.1-2.3/1.3-1.4 (61).  CSR wins clearly
+# up to W = 28 and ties from 31 to 37 (BENCH_17.json, scripts/stiffness_crossover.py).
+CSR_MAX_WIDTH = 30
+# metric components xx, yy, zz, xy, xz, yz; a box has only the first three
+SYM = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+def row_width(r: int, box: bool) -> int:
+    """Entries of a local row of K_e: node i couples with the nodes on its three
+    GLL lines on a box, else with every node differing from i in at most two axes."""
+    return 3 * r + 1 if box else (r + 1) ** 3 - r**3
 
 
 def element_geometry(space: SpectralSpace) -> dict:
     """Per-element geometric factors from mesh.map_cofactors, cached on the space.
 
     ``wdet`` (ne,nloc) is the GLL weight times det J, ``dmat`` the 1D
-    differentiation matrix and ``jinvt`` (3,3,ne,nq) J^-T = cof^T / det.  On
-    axis-aligned boxes (HexMesh.aligned_boxes) up to BOX_CSR_MAX_DEGREE, J is
-    constant: cof and det are taken at each element's centre (nq = 1) and
-    ``cbox`` (ne, 3) = |cof_a|^2 / det feeds box_stiffness (``kcsr``).
-    Otherwise nq = nloc and ``g6`` (6,ne,nloc) is the xx, yy, zz, xy, xz, yz
-    metric wdet J^-1 J^-T = w (cof_a . cof_b) / det at every node.  The first
-    surface_quadrature call adds ``surface``.
+    differentiation matrix, ``jinvt`` (3,3,ne,nq) J^-T = cof^T / det, and
+    ``csr`` whether apply_stiffness assembles K (row_width <= CSR_MAX_WIDTH).
+    On axis-aligned boxes (HexMesh.aligned_boxes) that do, J is constant: nq = 1
+    at each element's centre and ``metric`` (3,ne,1) is xx, yy, zz of
+    |cof_a|^2 / det.  Otherwise nq = nloc and ``metric`` (6,ne,nloc) is the SYM
+    components of wdet J^-1 J^-T = w (cof_a . cof_b) / det at every node.  The
+    first surface_quadrature call adds ``surface``.
     """
     if "wdet" in space._geom:
         return space._geom
     corners = space.mesh.corner_coords()
-    box = space.degree <= BOX_CSR_MAX_DEGREE and space.mesh.aligned_boxes(corners)
+    box = space.mesh.aligned_boxes(corners)
+    csr = row_width(space.degree, box) <= CSR_MAX_WIDTH
+    box = box and csr
     cof, det = map_cofactors(corners, np.zeros((1, 3)) if box else space.local_nodes_ref())
     if np.any(det <= 0):
         raise ValueError("non-positive Jacobian at a quadrature node")
     w = space.tensor_weights()
-    space._geom.update(wdet=w * det, dmat=diff_matrix(space.rule), jinvt=np.swapaxes(cof, 0, 1) / det)
-    if box:
-        space._geom["cbox"] = ((cof[:, :, :, 0] ** 2).sum(axis=1) / det[:, 0]).T
-        return space._geom
-    scale = w / det
-    sym = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-    g6 = np.stack([scale * (cof[a, 0] * cof[b, 0] + cof[a, 1] * cof[b, 1] + cof[a, 2] * cof[b, 2]) for a, b in sym])
-    space._geom["g6"] = g6
+    space._geom.update(wdet=w * det, dmat=diff_matrix(space.rule), jinvt=np.swapaxes(cof, 0, 1) / det, csr=csr)
+    metric = np.stack([cof[a, 0] * cof[b, 0] + cof[a, 1] * cof[b, 1] + cof[a, 2] * cof[b, 2]
+                       for a, b in SYM[:3 if box else 6]])
+    space._geom["metric"] = metric / det if box else (w / det) * metric
     return space._geom
 
 
-def box_stiffness(space: SpectralSpace) -> sparse.csr_array:
-    """K of a box mesh as one CSR matrix, built on the first call, cached as ``kcsr``.
+@lru_cache(maxsize=None)
+def _row_map(r: int, box: bool) -> tuple[np.ndarray | sparse.csr_array, np.ndarray]:
+    """(T, cols): the rows of K_e are metric @ T, entry (i, s) coupling local
+    nodes i and cols[i, s].  T is sparse (6 nloc, nloc W) for the metric at the
+    nodes, or dense (3, nloc W) with the GLL weights folded in for a box's one
+    value a component.  K_e = sum_ab Ghat_a^T diag(g_ab) Ghat_b, and row q of
+    Ghat_a holds D[q_a, i_a] at the r + 1 nodes i of q's a-line: i reaches q
+    along an a-line, then j along a b-line.  Slot s names the offsets (j - i)
+    mod p along the axes in lexicographic order (0, the x, y, z lines, ...)."""
+    rule = gll_rule(r)
+    p, d, ncomp = r + 1, diff_matrix(rule), 3 if box else 6
+    n, step, t = np.arange(p**3), p ** np.arange(3), np.arange(p)
+    ijk = n // step[:, None] % p  # (3, nloc): local node (i, j, k), and the offsets that code n names
+    keep = (ijk > 0).sum(axis=0) <= (1 if box else 2)
+    slot = np.cumsum(keep) - 1
+    cols = ((ijk[:, :, None] + ijk[:, None, keep]) % p * step[:, None, None]).sum(axis=0)  # (nloc, W)
+    width, parts = cols.shape[1], []
+    for c, (a0, b0) in enumerate(SYM[:ncomp]):
+        for a, b in ((a0, b0),) if a0 == b0 else ((a0, b0), (b0, a0)):
+            q = n[:, None] + (t - ijk[a][:, None]) * step[a]  # (nloc, p): the a-line of i
+            qb = ijk[b][q]
+            j = q[:, :, None] + (t - qb[:, :, None]) * step[b]  # (nloc, p, p): the b-line of each q
+            code = ((ijk[:, j] - ijk[:, :, None, None]) % p * step[:, None, None, None]).sum(axis=0)
+            parts.append([d[t, ijk[a][:, None]][:, :, None] * d[qb[:, :, None], t],  # Ghat_a[q, i] Ghat_b[q, j]
+                          np.broadcast_to(c * p**3 + q[:, :, None], j.shape), n[:, None, None] * width + slot[code]])
+    val, row, col = (np.concatenate(x, axis=None) for x in zip(*parts))
+    tmap = sparse.csr_array((val, (row, col)), shape=(ncomp * p**3, p**3 * width))
+    if box:  # one metric value a component: fold each component's node weights into T
+        w3 = tensor_rule(rule.nodes, rule.weights)[1]
+        tmap = np.ascontiguousarray((tmap.T @ np.kron(np.eye(3), w3[:, None])).T)
+    return tmap, cols
 
-    K_e = sum_a c_ea Khat_a with Khat_x = W_z (x) W_y (x) D^T W D, and so on,
-    couples a node only with its three GLL lines: each element adds those
-    3r + 1 entries a row, not the structural zeros of its dense block (an
-    assembled sparse K is fastest at low order: Vos et al., JCP 229, 2010).
+
+def stiffness_matrix(space: SpectralSpace) -> sparse.csr_array:
+    """K as one CSR matrix assembled from the element metric, built on the first
+    call and cached as ``kcsr``.
+
+    Each element adds its row_width entries a row, not the structural zeros of
+    its dense block (an assembled sparse K is fastest at low order: Vos et al.,
+    JCP 229, 2010): the line pattern where the metric is one value an element
+    (assembled boxes), else the nodes differing in at most two axes.
     """
     geom = element_geometry(space)
-    if "cbox" not in geom:
-        raise ValueError(f"box_stiffness needs axis-aligned box elements of degree <= {BOX_CSR_MAX_DEGREE}")
     if "kcsr" not in geom:
-        r, w1, d = space.degree, space.rule.weights, geom["dmat"]
-        n, step = np.arange((r + 1) ** 3), (r + 1) ** np.arange(3)[:, None]
-        ijk = n // step % (r + 1)  # (3, nloc): local node (i, j, k)
-        line = (ijk[:, None] + np.arange(1, r + 1)[:, None]) % (r + 1)  # (3, r, nloc): its line neighbours
-        wa, a1 = w1[ijk[[1, 0, 0]]] * w1[ijk[[2, 2, 1]]], d.T @ (w1[:, None] * d)  # other-axis weights, D^T W D
-        off = np.zeros((3, 3, r, n.size))
-        off[[0, 1, 2], [0, 1, 2]] = wa[:, None] * a1[ijk[:, None], line]
-        vals = np.concatenate([(wa * a1[ijk, ijk])[:, None], off.reshape(3, 3 * r, -1)], axis=1)
-        cols = np.concatenate([n[None], (n + (line - ijk[:, None]) * step[:, None]).reshape(3 * r, -1)])
+        metric = geom["metric"]
+        tmap, cols = _row_map(space.degree, metric.shape[2] == 1)  # one value an element: a box
+        vals = metric.transpose(1, 0, 2).reshape(metric.shape[1], -1) @ tmap  # (ne, nloc W)
         # element rows B summed into global rows by the gather P: K = P^T B, one
         # sparse product and no sort; 32-bit indices where they fit, so none is copied
-        size, width = space.emap.size, 3 * r + 1
+        size, width = space.emap.size, cols.shape[1]
         emap = space.emap.astype(np.int32 if size * width < 2**31 else np.int64)
-        rows = sparse.csr_array((
-            (geom["cbox"] @ vals.transpose(0, 2, 1).reshape(3, -1)).ravel(), emap[:, cols.T].ravel(),
-            np.arange(0, size * width + 1, width, dtype=emap.dtype)), shape=(size, space.ndof))
+        rows = sparse.csr_array((vals.ravel(), emap[:, cols].ravel(),
+                                 np.arange(0, size * width + 1, width, dtype=emap.dtype)), shape=(size, space.ndof))
         gather = sparse.csc_array((np.ones(size), emap.ravel(), np.arange(size + 1, dtype=emap.dtype)),
                                   shape=rows.shape[::-1]).tocsr()
         geom["kcsr"] = gather @ rows
@@ -122,12 +158,12 @@ def _grad_ref_t(qx: np.ndarray, qy: np.ndarray, qz: np.ndarray, d: np.ndarray) -
 
 
 def apply_stiffness(space: SpectralSpace, u: np.ndarray) -> np.ndarray:
-    """K u, K_ij = (grad phi_j, grad phi_i)^NI: the assembled box_stiffness
-    on axis-aligned boxes, else the matrix-free sum-factorised kernel."""
+    """K u, K_ij = (grad phi_j, grad phi_i)^NI: the assembled stiffness_matrix
+    up to CSR_MAX_WIDTH entries a local row, else the sum-factorised kernel."""
     geom = element_geometry(space)
-    if "cbox" in geom:
-        return box_stiffness(space) @ u
-    d, g = geom["dmat"], geom["g6"]
+    if geom["csr"]:
+        return stiffness_matrix(space) @ u
+    d, g = geom["dmat"], geom["metric"]
     p = space.degree + 1
     gx, gy, gz = _grad_ref(u[space.emap].reshape(-1, p, p, p), d)
     qx = g[0] * gx + g[3] * gy + g[4] * gz

@@ -8,7 +8,6 @@ scope.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,24 +63,6 @@ def curle_pressure(force: ForceHistory, observer, c0: float) -> ObserverRecord:
     fdot = np.gradient(force.forces, force.dt, axis=0, edge_order=2)
     p = (force.forces / r + fdot / c0) @ rvec / (4.0 * np.pi * r**2)
     return ObserverRecord(observer, force.times.copy(), p)
-
-
-def integrate_surface_force(areas, normals, pressures) -> np.ndarray:
-    """F = sum p * area * normal over a sampled closed surface.
-
-    Warns when the area vectors do not close to within 1% of the total
-    area (open or badly sampled surface)."""
-    areas = np.asarray(areas, dtype=float)
-    normals = np.asarray(normals, dtype=float)
-    pressures = np.asarray(pressures, dtype=float)
-    closure = np.linalg.norm((areas[:, None] * normals).sum(axis=0))
-    if closure > 0.01 * areas.sum():
-        warnings.warn(
-            f"surface does not close: |sum(area*n)| = {closure:.3e} "
-            f"exceeds 1% of total area {areas.sum():.3e}",
-            stacklevel=2,
-        )
-    return (pressures[:, None] * areas[:, None] * normals).sum(axis=0)
 
 
 def psd(series, dt: float, segment_length: int):

@@ -69,7 +69,7 @@ class FvMesh:
         if np.any(self.volumes <= 0):
             raise FvError("non-positive cell volume")
         if self.num_faces == 0:
-            return  # reduced meshes (spanwise averages) carry no faces
+            raise FvError("FV mesh has no faces")
         if np.any(self.area <= 0):
             raise FvError("non-positive face area")
         norms = np.linalg.norm(self.normal, axis=1)
@@ -222,8 +222,8 @@ def spanwise_average(field: FvField, axis: int) -> FvField:
 
     Cells are grouped into columns by their in-plane center coordinates;
     the grouping is validated by requiring every column to contain the
-    same number of cells.  Returns a field on a reduced (face-free) mesh
-    with one cell per column.
+    same number of cells.  Returns a field on the same mesh in which every
+    cell holds its column's mean, so it projects like any other source.
     """
     mesh = field.mesh
     plane = [a for a in range(3) if a != axis]
@@ -234,26 +234,11 @@ def spanwise_average(field: FvField, axis: int) -> FvField:
     _, col, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
     if counts.min() != counts.max():
         raise FvError("mesh is not extruded along the requested axis (uneven columns)")
-    ncol = counts.size
     w = mesh.volumes
     vals = field.values if field.values.ndim == 2 else field.values[:, None]
-    wsum = np.bincount(col, weights=w, minlength=ncol)
-    avg = np.stack(
-        [np.bincount(col, weights=w * vals[:, d], minlength=ncol) for d in range(vals.shape[1])],
-        axis=-1,
-    ) / wsum[:, None]
-    if field.values.ndim == 1:
-        avg = avg[:, 0]
-    centers = np.zeros((ncol, 3))
-    for d, a in enumerate(plane):
-        centers[:, a] = np.bincount(col, weights=w * c[:, a], minlength=ncol) / wsum
-    centers[:, axis] = c[:, axis].mean()
-    reduced = FvMesh(
-        centers, wsum,
-        np.empty(0, dtype=int), np.empty(0, dtype=int),
-        np.empty(0), np.empty((0, 3)), np.empty((0, 3)),
-    )
-    return FvField(reduced, avg, time=field.time, name=field.name)
+    wsum = np.bincount(col, weights=w, minlength=counts.size)
+    avg = np.stack([np.bincount(col, weights=w * v, minlength=counts.size) for v in vals.T], axis=-1) / wsum[:, None]
+    return FvField(mesh, avg[col].reshape(field.values.shape), time=field.time, name=field.name)
 
 
 # -- file I/O -------------------------------------------------------------

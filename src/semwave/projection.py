@@ -132,8 +132,6 @@ def _clipped_entries(space: SpectralSpace, clo, chi, cells, gx, gw):
 
 def assemble_coupling(space: SpectralSpace, fvmesh: FvMesh, points_per_axis: int = 3) -> CouplingMatrix:
     """Assemble M^AF by exact box clipping where possible, else sampling."""
-    if fvmesh.num_faces == 0:
-        raise ValueError("FV mesh has no faces; cannot decompose cells for sampling")
     gx, gw = np.polynomial.legendre.leggauss(points_per_axis)
     inc_cell, inc_face = fvmesh.cell_faces()
     clo, chi, is_box = _cell_boxes(fvmesh, inc_cell, inc_face)

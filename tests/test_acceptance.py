@@ -58,6 +58,42 @@ def test_criterion_01_spatial_convergence(capsys):
     _report(capsys, 1, ok, ", ".join(details) + f", {elapsed:.0f}s")
 
 
+# -- 11. h-convergence on curved elements ---------------------------------
+
+
+def _warped_box_mesh(bounds, divisions):
+    """The generated box with x += 0.08 s and y += 0.04 s, s = sin(pi x) sin(pi y)
+    sin(pi z): every interior element is curved and the unit cube's boundary stays."""
+    from semwave.mesh import HexMesh
+
+    box = generate_box_mesh(bounds, divisions)
+    v = box.vertices.copy()
+    s = np.prod(np.sin(np.pi * v), axis=1)
+    v[:, 0] += 0.08 * s
+    v[:, 1] += 0.04 * s
+    return HexMesh(v, box.elements, box.boundary)
+
+
+def test_criterion_11_curved_spatial_convergence(capsys, monkeypatch):
+    """Criterion 1's MMS sweep on the unit cube warped by _warped_box_mesh,
+    r = 1 and 2, the degrees whose curved stiffness is assembled: error
+    monotone in h and observed order between the two finest meshes
+    >= r+0.6 (measured 1.48/1.63 and 2.14/2.76)."""
+    monkeypatch.setattr(cli, "generate_box_mesh", _warped_box_mesh)
+    t0 = time.perf_counter()
+    cfg = NewmarkConfig(dt=1e-4, t_final=0.05)
+    ok = True
+    details = []
+    for r in (1, 2):
+        errs = [cli.mms_single(n, r, cfg)[0] for n in (4, 8, 16)]
+        orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
+        ok = ok and errs[0] > errs[1] > errs[2] and orders[-1] >= r + 0.6
+        details.append(f"r={r} orders={orders[0]:.2f}/{orders[1]:.2f}")
+    elapsed = time.perf_counter() - t0
+    ok = ok and elapsed < 900.0
+    _report(capsys, 11, ok, ", ".join(details) + f", {elapsed:.0f}s")
+
+
 # -- 2. spectral (p-) convergence -----------------------------------------
 
 

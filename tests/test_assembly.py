@@ -15,6 +15,7 @@ from semwave.assembly import (
     element_geometry,
     neumann_load,
     point_source_load,
+    stiffness_matrix,
     surface_quadrature,
     volume_load,
 )
@@ -323,24 +324,24 @@ def _oracle_apply(space, u):
 
 
 _KERNEL_CASES = (
-    [pytest.param("perturbed_mesh", r, False, id=str(r)) for r in (1, 2, 3, 4)]
+    [pytest.param("perturbed_mesh", r, r <= 2, id=str(r)) for r in (1, 2, 3, 4)]
     + [pytest.param("graded_mesh", r, True, id=f"graded-{r}") for r in range(1, 9)]
-    + [pytest.param("rotated_mesh", 2, False, id="rotated-2")]
+    + [pytest.param("rotated_mesh", 2, True, id="rotated-2")]
 )
 
 
-@pytest.mark.parametrize("mesh_name, r, box_path", _KERNEL_CASES)
-def test_non_affine_kernels_match_dense_oracle(request, mesh_name, r, box_path, rng):
+@pytest.mark.parametrize("mesh_name, r, csr_path", _KERNEL_CASES)
+def test_non_affine_kernels_match_dense_oracle(request, mesh_name, r, csr_path, rng):
     """Both stiffness paths, and the convective kernel, against the dense
-    weak forms: the assembled CSR matrix on axis-aligned boxes, the
-    sum-factorised kernel on curved and on rotated affine elements.  Up to
-    r = 4 on every column; above, where the dense matrices would take
-    hundreds of MB, on six random vectors."""
+    weak forms: the assembled CSR matrix up to CSR_MAX_WIDTH entries a local
+    row (boxes to r = 8 here, other hexes to r = 2), the sum-factorised kernel
+    on curved elements above.  Up to r = 4 on every column; above, where the
+    dense matrices would take hundreds of MB, on six random vectors."""
     space = build_space(request.getfixturevalue(mesh_name), r)
     u = np.eye(space.ndof) if r <= 4 else rng.standard_normal((space.ndof, 6))
     ku_ref, cu_ref = _oracle_apply(space, u)
     ku = np.stack([apply_stiffness(space, col) for col in u.T], axis=1)
-    assert ("kcsr" in space._geom) is box_path
+    assert ("kcsr" in space._geom) is csr_path
     scale = np.abs(ku_ref).max()
     np.testing.assert_allclose(ku, ku_ref, rtol=0, atol=1e-12 * scale)
     sym = u.T @ ku  # K itself for the identity
@@ -352,55 +353,104 @@ def test_non_affine_kernels_match_dense_oracle(request, mesh_name, r, box_path, 
         np.testing.assert_allclose(c, cu_ref[ell], rtol=0, atol=1e-12 * np.abs(cu_ref[ell]).max())
 
 
-def test_box_path_stops_at_degree_limit(graded_mesh, monkeypatch, rng):
-    """Above BOX_CSR_MAX_DEGREE box elements take the sum-factorised kernel,
-    which agrees with the assembled CSR matrix there to roundoff."""
+def _box_stiffness_oracle(space):
+    """K of a box mesh from the line pattern by index arithmetic:
+    K_e = sum_a c_ea Khat_a with c_ea = |cof_a|^2 / det at the element centre
+    and Khat_x = W_z (x) W_y (x) D^T W D, and so on, each row holding the node
+    and its three GLL lines (3r + 1 entries) in that order."""
+    from scipy import sparse
+
+    from semwave.gll import diff_matrix
+    from semwave.mesh import map_cofactors
+
+    cof, det = map_cofactors(space.mesh.corner_coords(), np.zeros((1, 3)))
+    cbox = ((cof[:, :, :, 0] ** 2).sum(axis=1) / det[:, 0]).T
+    r, w1, d = space.degree, space.rule.weights, diff_matrix(space.rule)
+    n, step = np.arange((r + 1) ** 3), (r + 1) ** np.arange(3)[:, None]
+    ijk = n // step % (r + 1)  # (3, nloc): local node (i, j, k)
+    line = (ijk[:, None] + np.arange(1, r + 1)[:, None]) % (r + 1)  # (3, r, nloc): its line neighbours
+    wa, a1 = w1[ijk[[1, 0, 0]]] * w1[ijk[[2, 2, 1]]], d.T @ (w1[:, None] * d)  # other-axis weights, D^T W D
+    off = np.zeros((3, 3, r, n.size))
+    off[[0, 1, 2], [0, 1, 2]] = wa[:, None] * a1[ijk[:, None], line]
+    vals = np.concatenate([(wa * a1[ijk, ijk])[:, None], off.reshape(3, 3 * r, -1)], axis=1)
+    cols = np.concatenate([n[None], (n + (line - ijk[:, None]) * step[:, None]).reshape(3 * r, -1)])
+    size, width = space.emap.size, 3 * r + 1
+    rows = sparse.csr_array(((cbox @ vals.transpose(0, 2, 1).reshape(3, -1)).ravel(), space.emap[:, cols.T].ravel(),
+                             np.arange(0, size * width + 1, width)), shape=(size, space.ndof))
+    gather = sparse.csr_array((np.ones(size), (space.emap.ravel(), np.arange(size))), shape=rows.shape[::-1])
+    return gather @ rows
+
+
+def test_stiffness_matrix_matches_box_oracle(graded_mesh):
+    """On boxes the metric builder gives the line pattern of the index-arithmetic
+    oracle in every row, with int32 indices, and its values to 1e-15 of the
+    largest entry."""
+    for r in range(1, 10):
+        space = build_space(graded_mesh, r)
+        k, ref = stiffness_matrix(space), _box_stiffness_oracle(space)
+        assert k.indices.dtype == k.indptr.dtype == np.int32
+        k, ref = k.sorted_indices(), ref.sorted_indices()
+        np.testing.assert_array_equal(k.indptr, ref.indptr)
+        np.testing.assert_array_equal(k.indices, ref.indices)
+        np.testing.assert_allclose(k.data, ref.data, rtol=0, atol=1e-15 * np.abs(ref.data).max())
+
+
+def test_csr_path_stops_at_width_cap(graded_mesh, perturbed_mesh, monkeypatch, rng):
+    """Above CSR_MAX_WIDTH entries a local row, boxes at r = 10 and other hexes
+    at r = 3 take the sum-factorised kernel, which agrees to roundoff with the
+    CSR matrix built once the cap is raised."""
     from semwave import assembly
 
-    r = assembly.BOX_CSR_MAX_DEGREE + 1
-    space = build_space(graded_mesh, r)
-    u = rng.standard_normal(space.ndof)
-    k_sf = apply_stiffness(space, u)
-    assert "g6" in space._geom and "kcsr" not in space._geom
-    with pytest.raises(ValueError, match=f"axis-aligned box elements of degree <= {r - 1}"):
-        assembly.box_stiffness(space)
-    monkeypatch.setattr(assembly, "BOX_CSR_MAX_DEGREE", r)
-    boxed = build_space(graded_mesh, r)
-    k_box = apply_stiffness(boxed, u)
-    assert "kcsr" in boxed._geom and "g6" not in boxed._geom
-    np.testing.assert_allclose(k_box, k_sf, rtol=0, atol=1e-13 * np.abs(k_sf).max())
+    for mesh, r, box in ((graded_mesh, 10, True), (perturbed_mesh, 3, False)):
+        assert assembly.row_width(r, box) > assembly.CSR_MAX_WIDTH >= assembly.row_width(r - 1, box)
+        space = build_space(mesh, r)
+        u = rng.standard_normal(space.ndof)
+        k_sf = apply_stiffness(space, u)
+        assert not space._geom["csr"] and "kcsr" not in space._geom
+        with monkeypatch.context() as patch:
+            patch.setattr(assembly, "CSR_MAX_WIDTH", assembly.row_width(r, box))
+            assembled = build_space(mesh, r)
+            k_csr = apply_stiffness(assembled, u)
+        assert "kcsr" in assembled._geom
+        np.testing.assert_allclose(k_csr, k_sf, rtol=0, atol=1e-13 * np.abs(k_sf).max())
 
 
-def test_box_stiffness_built_once_per_space(graded_mesh, rng):
+@pytest.mark.parametrize("mesh_name, r", [("graded_mesh", 3), ("perturbed_mesh", 2)])
+def test_stiffness_matrix_built_once_per_space(request, mesh_name, r, rng):
     """K is assembled by the first apply, not by the set-up that never applies
     it (mass, convective operators), and every later apply reads the same
-    cached matrix."""
-    from semwave.assembly import assemble_mass, box_stiffness
-
-    space = build_space(graded_mesh, 3)
+    cached matrix: on boxes and on curved elements."""
+    mesh = request.getfixturevalue(mesh_name)
+    space = build_space(mesh, r)
     assemble_mass(space)
     assemble_convective(space).apply(0, np.zeros(space.ndof))
     assert "kcsr" not in element_geometry(space)
     u = rng.standard_normal(space.ndof)
     first = apply_stiffness(space, u)
     k = space._geom["kcsr"]
-    assert k.format == "csr" and box_stiffness(space) is k
+    assert k.format == "csr" and stiffness_matrix(space) is k
     k.data *= 2.0  # a rebuilt matrix would not carry this
     np.testing.assert_array_equal(apply_stiffness(space, u), 2.0 * first)
     assert space._geom["kcsr"] is k
-    assert box_stiffness(build_space(graded_mesh, 3)) is not k
+    assert stiffness_matrix(build_space(mesh, r)) is not k
 
 
-def test_box_stiffness_keeps_only_line_couplings(graded_mesh):
-    """Each row of K couples a node only with the nodes on its three GLL
-    lines, and K stores exactly the nonzeros of the dense matrix."""
-    from semwave.assembly import box_stiffness
-
-    space = build_space(graded_mesh, 2)
-    k = box_stiffness(space).tocoo()
-    x = space.node_coords
-    same = np.isclose(x[k.row], x[k.col], rtol=0, atol=1e-12).sum(axis=1)
-    assert np.all(same >= 2)  # differ along at most one axis
+@pytest.mark.parametrize("mesh_name, axes", [("graded_mesh", 1), ("perturbed_mesh", 2)])
+def test_stiffness_matrix_keeps_only_structural_nonzeros(request, mesh_name, axes):
+    """Each entry of K couples two nodes of one element whose local indices
+    differ along at most one axis on boxes (the GLL lines) and two on other
+    hexes, and K stores exactly the nonzeros of the dense matrix: no
+    explicit zero, such as a cross coupling whose metric terms are exactly 0
+    where J stays diagonal."""
+    space = build_space(request.getfixturevalue(mesh_name), 2)
+    k = stiffness_matrix(space).tocoo()
+    p = space.degree + 1
+    ijk = np.arange(p**3)[:, None] // p ** np.arange(3) % p
+    near = (ijk[:, None] != ijk[None]).sum(axis=-1) <= axes  # (nloc, nloc)
+    allowed = np.zeros((space.ndof, space.ndof), dtype=bool)
+    for m in space.emap:
+        allowed[np.ix_(m, m)] |= near
+    assert np.all(allowed[k.row, k.col])
     dense = np.stack([apply_stiffness(space, col) for col in np.eye(space.ndof)], axis=1)
     assert k.nnz == np.count_nonzero(dense)
 
@@ -447,7 +497,8 @@ def test_surface_quadrature_cache_matches_fresh_build(perturbed_mesh):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_closed_form_geometry_matches_inverse(perturbed_mesh, r):
-    """wdet and g6 from the cofactors against det and np.linalg.inv of J."""
+    """wdet and the per-node metric from the cofactors against det and
+    np.linalg.inv of J."""
     from semwave.mesh import shape_gradients
 
     space = build_space(perturbed_mesh, r)
@@ -459,7 +510,7 @@ def test_closed_form_geometry_matches_inverse(perturbed_mesh, r):
     np.testing.assert_allclose(geom["wdet"], wdet, rtol=1e-13, atol=0)
     sym = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
     g6 = np.stack([wdet * np.einsum("eqx,eqx->eq", inv[:, :, a], inv[:, :, b]) for a, b in sym])
-    np.testing.assert_allclose(geom["g6"], g6, rtol=0, atol=1e-13 * np.abs(g6).max())
+    np.testing.assert_allclose(geom["metric"], g6, rtol=0, atol=1e-13 * np.abs(g6).max())
     conv = assemble_convective(space)
     conv.apply(0, np.zeros(space.ndof))
     np.testing.assert_allclose(geom["jinvt"], inv.transpose(3, 2, 0, 1), rtol=0, atol=1e-13 * np.abs(inv).max())

@@ -412,8 +412,32 @@ def test_fv_source_spanwise(tmp_path):
     }
     assert cli.main(["fv-source", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
     mesh, fields = load_fv(out / "fv_source.json")
-    assert mesh.num_cells == 16
-    assert mesh.num_faces == 0
+    assert mesh.num_cells == 32 and mesh.num_faces == 5 * 4 * 2 + 4 * 5 * 2 + 4 * 4 * 3
+    values = fields[0].values.reshape(16, 2, 3)  # the generator numbers cells z fastest
+    np.testing.assert_array_equal(values[:, 0], values[:, 1])  # one mean per spanwise column
+
+
+def test_fv_source_spanwise_then_project(tmp_path):
+    """A spanwise-averaged source lives on the FV mesh it came from, so it projects."""
+    box = [[0, 1], [0, 1], [0, 0.2]]
+    fv_cfg = {"version": "1", "rho0": 1.0, "spanwise_axis": 2,
+              "synthetic": {"box": box, "div": [4, 4, 2], "field": "shear_xy"}}
+    fv_out, pr_out = tmp_path / "fv", tmp_path / "pr"
+    assert cli.main(["fv-source", "--config", _write_config(tmp_path, fv_cfg, "fv.json"), "--out", str(fv_out)]) == 0
+    pr_cfg = {"version": "1", "fv_file": str(fv_out / "fv_source.json"), "degree": 1,
+              "mesh": {"generator": {"box": box, "div": [2, 2, 1]}}}
+    assert cli.main(["project", "--config", _write_config(tmp_path, pr_cfg, "pr.json"), "--out", str(pr_out)]) == 0
+    assert np.all(np.isfinite(np.load(pr_out / "load_0000.npy")))
+
+
+def test_project_facefree_fv_file_is_config_error(tmp_path, capsys):
+    fv_path = tmp_path / "cells_only.json"
+    fv_path.write_text(json.dumps({"version": "1", "cells": [{"center": [0.5, 0.5, 0.5], "volume": 1.0}],
+                                   "faces": [], "fields": []}))
+    pr_cfg = {"version": "1", "fv_file": str(fv_path), "degree": 1,
+              "mesh": {"generator": {"box": [[0, 1], [0, 1], [0, 1]], "div": [1, 1, 1]}}}
+    assert cli.main(["project", "--config", _write_config(tmp_path, pr_cfg, "pr.json"), "--out", str(tmp_path / "pr")]) == 2
+    assert json.loads(capsys.readouterr().err)["problems"] == [f"fv_file {fv_path}: FV mesh has no faces"]
 
 
 def test_fv_source_bad_field(tmp_path, capsys):

