@@ -6,7 +6,9 @@ neighbor, outward on boundary faces), and midpoint.  Boundary faces have
 neighbor = -1; their face value is linearly extrapolated from the owner
 cell with a least-squares cell gradient (owner value when the cell has
 no usable neighbors), which keeps the divergence second order up to the
-boundary.
+boundary.  The mesh builds two sparse maps once, on first use: the signed
+cell-face incidence D and the face interpolation F, so each snapshot's
+divergence is D @ flux(F @ u) / V.
 
 The FV file is JSON with ``"version": "1"`` and ``cells``, ``faces``,
 ``fields`` arrays; fields are per-cell scalars or 3-vectors with a time
@@ -16,8 +18,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 FV_FORMAT_VERSION = "1"
 
@@ -53,13 +57,54 @@ class FvMesh:
     def num_faces(self) -> int:
         return self.owner.shape[0]
 
-    def cell_faces(self) -> tuple[np.ndarray, np.ndarray]:
-        """Face incidences (cell, face), by cell, faces ascending within each cell."""
-        interior = np.nonzero(self.neighbor >= 0)[0]
+    @cached_property
+    def incidence(self) -> sp.csr_matrix:
+        """Signed cell-face matrix D (cells x faces): +1 where the cell owns the
+        face, -1 where it is the neighbor; faces ascend within each row."""
+        interior = np.flatnonzero(self.neighbor >= 0)
         cell = np.concatenate([self.owner, self.neighbor[interior]])
         face = np.concatenate([np.arange(self.num_faces), interior])
-        order = np.lexsort((face, cell))
-        return cell[order], face[order]
+        sign = np.repeat([1.0, -1.0], [self.num_faces, interior.size])
+        return sp.csr_matrix((sign, (cell, face)), shape=(self.num_cells, self.num_faces))
+
+    @cached_property
+    def face_interp(self) -> sp.csr_matrix:
+        """Face-value matrix F (faces x cells).  An interior face weights its two
+        cells by inverse center-to-face distance; a boundary face extrapolates
+        from its owner, v_o + (x_f - x_o) . P (v_nb - v_o), where P is the
+        minimum-norm least-squares inverse of the owner's neighbor offsets (zero
+        slope along a direction without neighbors).  One P per boundary owner,
+        owners with equally many neighbors in one batch."""
+        own, nb, x, mid = self.owner, self.neighbor, self.centers, self.midpoint
+        inner, bnd = np.flatnonzero(nb >= 0), np.flatnonzero(nb < 0)
+        d_o, d_n = (np.linalg.norm(mid[inner] - x[c[inner]], axis=1) for c in (own, nb))
+        w = d_n / (d_o + d_n)
+        rows, cols, vals = [inner, inner], [own[inner], nb[inner]], [w, 1.0 - w]
+        cells, slot = np.unique(own[bnd], return_inverse=True)
+        cell, face, _ = self.cell_faces()
+        keep = nb[face] >= 0
+        # owner + neighbor - cell is the cell across each interior face
+        cell, other = cell[keep], (own + nb)[face[keep]] - cell[keep]
+        start = np.searchsorted(cell, cells)
+        count = np.searchsorted(cell, cells, side="right") - start
+        for k in np.unique(count):
+            group = np.flatnonzero(count == k)
+            nbrs = other[start[group][:, None] + np.arange(k)]  # (ng, k)
+            p = np.linalg.pinv(x[nbrs] - x[cells[group]][:, None], rtol=None)  # (ng, 3, k)
+            in_group = count[slot] == k
+            f, g = bnd[in_group], np.searchsorted(group, slot[in_group])  # faces, their owner in the group
+            c = np.einsum("fd,fdk->fk", mid[f] - x[own[f]], p[g])  # neighbor weights
+            rows += [np.repeat(f, k), f]
+            cols += [nbrs[g].ravel(), own[f]]
+            vals += [c.ravel(), 1.0 - c.sum(axis=1)]
+        return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(self.num_faces, self.num_cells))
+
+    def cell_faces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Face incidences (cell, face, sign) read off D: by cell, faces
+        ascending within each cell, sign +1 where the cell owns the face."""
+        d = self.incidence
+        return np.repeat(np.arange(self.num_cells), np.diff(d.indptr)), d.indices, d.data
 
     def validate(self):
         for name in ("centers", "volumes", "area", "normal", "midpoint"):
@@ -78,14 +123,11 @@ class FvMesh:
             raise FvError(f"face {bad[0]} normal is not unit length")
         if self.owner.min() < 0 or self.owner.max() >= self.num_cells:
             raise FvError("face owner index out of range")
-        if self.neighbor.max(initial=-1) >= self.num_cells:
-            raise FvError("face neighbor index out of range")
+        bad = np.flatnonzero((self.neighbor < -1) | (self.neighbor >= self.num_cells) | (self.neighbor == self.owner))
+        if bad.size:  # out of range, or a -1 in D that cancels the owner's +1
+            raise FvError(f"face {bad[0]} neighbor {self.neighbor[bad[0]]} is neither -1 nor another cell")
         # closed-surface consistency per cell: sum of signed area vectors = 0
-        sv = self.area[:, None] * self.normal
-        acc = np.zeros_like(self.centers)
-        np.add.at(acc, self.owner, sv)
-        interior = self.neighbor >= 0
-        np.add.at(acc, self.neighbor[interior], -sv[interior])
+        acc = self.incidence @ (self.area[:, None] * self.normal)
         scale = np.maximum(self.volumes ** (2.0 / 3.0), 1e-300)
         resid = np.linalg.norm(acc, axis=1) / scale
         worst = int(np.argmax(resid))
@@ -155,66 +197,14 @@ def sample_velocity(mesh: FvMesh, u_fn, time: float = 0.0, name: str = "U") -> F
     return FvField(mesh, vals, time=time, name=name)
 
 
-def _cell_gradients(mesh: FvMesh, values: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Least-squares gradient of each requested cell from neighbor differences.
-
-    Returns G (len(cells), 3, ncomp), G[c, d, comp] = d(values_comp)/d(x_d):
-    the minimum-norm solution, so a direction without neighbors gets zero
-    slope.  Cells with equally many neighbors are solved together."""
-    vals2 = values if values.ndim == 2 else values[:, None]
-    cell, face = mesh.cell_faces()
-    inner = mesh.neighbor[face] >= 0
-    # owner + neighbor - cell is the cell across each interior face
-    cell, other = cell[inner], (mesh.owner + mesh.neighbor)[face[inner]] - cell[inner]
-    start = np.searchsorted(cell, cells)
-    count = np.searchsorted(cell, cells, side="right") - start
-    out = np.zeros((cells.size, 3, vals2.shape[1]))
-    for k in np.unique(count[count > 0]):
-        group = np.nonzero(count == k)[0]
-        nbrs = other[start[group][:, None] + np.arange(k)]  # (ng, k)
-        own = cells[group][:, None]
-        out[group] = np.linalg.pinv(mesh.centers[nbrs] - mesh.centers[own], rtol=None) @ (vals2[nbrs] - vals2[own])
-    return out
-
-
-def _face_values(mesh: FvMesh, values: np.ndarray) -> np.ndarray:
-    """Linear face interpolation weighted by inverse center-to-face distance;
-    boundary faces extrapolate linearly from the owner cell."""
-    vals2 = values if values.ndim == 2 else values[:, None]
-    out = vals2[mesh.owner].copy()
-    interior = mesh.neighbor >= 0
-    if interior.any():
-        own, nb = mesh.owner[interior], mesh.neighbor[interior]
-        d_o = np.linalg.norm(mesh.midpoint[interior] - mesh.centers[own], axis=1)
-        d_n = np.linalg.norm(mesh.midpoint[interior] - mesh.centers[nb], axis=1)
-        w_o = (d_n / (d_o + d_n))[:, None]
-        out[interior] = w_o * vals2[own] + (1.0 - w_o) * vals2[nb]
-    bnd = ~interior
-    if bnd.any():
-        cells, owner_slot = np.unique(mesh.owner[bnd], return_inverse=True)
-        grads = _cell_gradients(mesh, values, cells)
-        o = mesh.owner[bnd]
-        out[bnd] = vals2[o] + np.einsum("fd,fdm->fm", mesh.midpoint[bnd] - mesh.centers[o], grads[owner_slot])
-    return out if values.ndim == 2 else out[:, 0]
-
-
-def _face_fluxes(mesh: FvMesh, u: FvField, rho0: float) -> np.ndarray:
-    """rho0 u_F (u_F . n) |F| on every face, (nf, 3), oriented owner -> neighbor."""
-    uf = _face_values(mesh, u.values)  # (nf, 3)
-    return rho0 * uf * np.einsum("fx,fx->f", uf, mesh.normal)[:, None] * mesh.area[:, None]
-
-
 def lighthill_divergence(mesh: FvMesh, u: FvField, rho0: float) -> FvField:
     """Per-cell div(rho0 u x u) by the Gauss (divergence) theorem with
-    mid-point face quadrature."""
+    mid-point face quadrature: D @ (rho0 u_F (u_F . n) |F|) / V, u_F = F @ u."""
     if u.values.ndim != 2 or u.values.shape[1] != 3:
         raise FvError("lighthill_divergence needs a 3-vector velocity field")
-    flux = _face_fluxes(mesh, u, rho0)
-    acc = np.zeros((mesh.num_cells, 3))
-    np.add.at(acc, mesh.owner, flux)
-    interior = mesh.neighbor >= 0
-    np.add.at(acc, mesh.neighbor[interior], -flux[interior])
-    return FvField(mesh, acc / mesh.volumes[:, None], time=u.time, name=f"div_lighthill({u.name})")
+    uf = mesh.face_interp @ u.values  # (nf, 3)
+    flux = rho0 * uf * (np.einsum("fx,fx->f", uf, mesh.normal) * mesh.area)[:, None]  # owner -> neighbor
+    return FvField(mesh, (mesh.incidence @ flux) / mesh.volumes[:, None], time=u.time, name=f"div_lighthill({u.name})")
 
 
 def spanwise_average(field: FvField, axis: int) -> FvField:

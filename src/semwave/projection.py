@@ -6,11 +6,13 @@ Cell-element overlap integrals: when every acoustic element is an
 axis-aligned box, each box-shaped FV cell is clipped against the element
 boxes it overlaps (the pairs ``HexMesh.bbox_pairs`` finds, the cell box
 shrunk by 1e-12 h so that touching faces do not count) and a tensor Gauss
-rule is applied on every intersection box.  The rule and the element basis
-are both tensor products, so the integral of basis function (a, b, c)
-factorises into Ix[a] * Iy[b] * Iz[c] with I_d[a] = sum_g (d_d / 2) w_g
-l_a(xi_d,g) over the clip width d_d: each cell-element pair needs p numbers
-per axis, all pairs in one batch.
+rule of r // 2 + 1 points per axis, exact for the degree-r basis, is
+applied on every intersection box (``points_per_axis`` governs only the
+sampled rule below).  The rule and the element basis are both tensor
+products, so the integral of basis function (a, b, c) factorises into
+Ix[a] * Iy[b] * Iz[c] with I_d[a] = sum_g (d_d / 2) w_g l_a(xi_d,g) over
+the clip width d_d: each cell-element pair needs p numbers per axis, all
+pairs in one batch.
 Other cells, and every cell when the elements are not aligned boxes, are
 sampled instead, all (cell, face) incidences in one batch: each cell is one
 pyramid per face, apex at the cell center and base the face rebuilt around
@@ -21,7 +23,9 @@ Gauss-Legendre across the base and Gauss-Jacobi (weight s^2) from apex to
 base, so the weights of a box cell sum to its volume even at one point per
 axis.  One ``HexMesh.locate_points`` call places all samples; samples or
 cell parts outside the acoustic mesh contribute zero, so partial overlaps
-are handled naturally.
+are handled naturally.  Both rules read each (cell, face) incidence and
+its sign off the FV mesh's signed incidence matrix; the outward normals
+are formed once.
 """
 from __future__ import annotations
 
@@ -62,15 +66,14 @@ def consistent_mass(space: SpectralSpace) -> sp.csr_matrix:
     return m.tocsr()
 
 
-def _cell_samples(mesh: FvMesh, cell: np.ndarray, face: np.ndarray, lo, hi, is_box, npts: int):
+def _cell_samples(mesh: FvMesh, cell: np.ndarray, face: np.ndarray, n: np.ndarray, lo, hi, is_box, npts: int):
     """Pyramid rule over the (cell, face) incidences given, all at once, with
-    npts points per axis; box cells (``is_box``, bounds lo/hi) take their true
-    faces as bases.  Returns (points, weights, cell of each point), in
-    incidence order."""
+    outward normals n and npts points per axis; box cells (``is_box``, bounds
+    lo/hi) take their true faces as bases.  Returns (points, weights, cell of
+    each point), in incidence order."""
     gx, gw = np.polynomial.legendre.leggauss(npts)
     sx, sw = roots_jacobi(npts, 0.0, 2.0)  # weight (1 + x)^2 holds the s^2 of the collapse
     s, ws = 0.5 * (sx + 1.0), sw / 8.0  # s from apex (0) to base (1); sum(ws) = 1/3
-    n = mesh.normal[face] * np.where(mesh.owner[face] == cell, 1.0, -1.0)[:, None]
     h = np.einsum("fx,fx->f", mesh.midpoint[face] - mesh.centers[cell], n)
     keep = h > 0  # else a degenerate pyramid: the cell is not star-shaped w.r.t. its center
     cell, face, n, h = cell[keep], face[keep], n[keep], h[keep]
@@ -90,12 +93,11 @@ def _cell_samples(mesh: FvMesh, cell: np.ndarray, face: np.ndarray, lo, hi, is_b
     return x.reshape(-1, 3), w.ravel(), np.repeat(cell, npts ** 3)
 
 
-def _cell_boxes(mesh: FvMesh, cell: np.ndarray, face: np.ndarray):
+def _cell_boxes(mesh: FvMesh, cell: np.ndarray, face: np.ndarray, n: np.ndarray):
     """Axis-aligned bounds (lo, hi) of every cell, plus a flag telling which
-    cells are boxes: six faces with axis-aligned outward normals, one per
+    cells are boxes: six faces with axis-aligned outward normals n, one per
     side, and positive extent along every axis."""
     nc = mesh.num_cells
-    n = mesh.normal[face] * np.where(mesh.owner[face] == cell, 1.0, -1.0)[:, None]
     ax = np.argmax(np.abs(n), axis=1)
     n_ax = n[np.arange(face.size), ax]
     off_axis = np.abs(np.abs(n_ax) - 1.0) > 1e-12
@@ -112,12 +114,13 @@ def _cell_boxes(mesh: FvMesh, cell: np.ndarray, face: np.ndarray):
     return lo, hi, is_box
 
 
-def _clipped_entries(space: SpectralSpace, clo, chi, cells, gx, gw):
-    """Gauss-rule overlap integrals of the box cells `cells` with the aligned
-    element boxes they overlap by at least 1e-12 h on every axis: returns
-    (element, cell, values) with values (npairs, nloc).  The rule on a clipped
-    box is a tensor product, so each pair needs only p one-dimensional
-    integrals per axis."""
+def _clipped_entries(space: SpectralSpace, clo, chi, cells):
+    """Overlap integrals of the box cells `cells` with the aligned element
+    boxes they overlap by at least 1e-12 h on every axis: returns (element,
+    cell, values) with values (npairs, nloc).  The rule on a clipped box is a
+    tensor product of r // 2 + 1 Gauss points per axis, exact for the degree-r
+    basis, so each pair needs only p one-dimensional integrals per axis."""
+    gx, gw = np.polynomial.legendre.leggauss(space.degree // 2 + 1)
     k, e = space.mesh.bbox_pairs(clo[cells], chi[cells], -1e-12 * space.mesh.h)
     elo, ehi = space.mesh.element_bboxes()
     c = cells[k]
@@ -131,14 +134,16 @@ def _clipped_entries(space: SpectralSpace, clo, chi, cells, gx, gw):
 
 
 def assemble_coupling(space: SpectralSpace, fvmesh: FvMesh, points_per_axis: int = 3) -> CouplingMatrix:
-    """Assemble M^AF by exact box clipping where possible, else sampling."""
-    gx, gw = np.polynomial.legendre.leggauss(points_per_axis)
-    inc_cell, inc_face = fvmesh.cell_faces()
-    clo, chi, is_box = _cell_boxes(fvmesh, inc_cell, inc_face)
+    """Assemble M^AF by exact box clipping where possible, else sampling with
+    points_per_axis points per axis."""
+    inc_cell, inc_face, sign = fvmesh.cell_faces()
+    normal = fvmesh.normal[inc_face] * sign[:, None]  # outward from each incidence's cell
+    clo, chi, is_box = _cell_boxes(fvmesh, inc_cell, inc_face, normal)
     clipped = is_box & space.mesh.aligned_boxes()
-    parts = [_clipped_entries(space, clo, chi, np.nonzero(clipped)[0], gx, gw)]
+    parts = [_clipped_entries(space, clo, chi, np.nonzero(clipped)[0])]
     sampled = ~clipped[inc_cell]
-    pts, wts, cell = _cell_samples(fvmesh, inc_cell[sampled], inc_face[sampled], clo, chi, is_box, points_per_axis)
+    pts, wts, cell = _cell_samples(fvmesh, inc_cell[sampled], inc_face[sampled], normal[sampled], clo, chi, is_box,
+                                   points_per_axis)
     elem, xi = space.mesh.locate_points(pts)
     inside = elem >= 0
     parts.append((elem[inside], cell[inside], wts[inside, None] * basis_rows(space, xi[inside])))

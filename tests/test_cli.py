@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from semwave import cli
-from semwave.fvsource import load_fv
+from semwave.fvsource import generate_box_fv, load_fv, save_fv
 from semwave.mesh import HexMesh, generate_box_mesh
 from semwave.newmark import NewmarkConfig
 
@@ -438,6 +438,20 @@ def test_project_facefree_fv_file_is_config_error(tmp_path, capsys):
               "mesh": {"generator": {"box": [[0, 1], [0, 1], [0, 1]], "div": [1, 1, 1]}}}
     assert cli.main(["project", "--config", _write_config(tmp_path, pr_cfg, "pr.json"), "--out", str(tmp_path / "pr")]) == 2
     assert json.loads(capsys.readouterr().err)["problems"] == [f"fv_file {fv_path}: FV mesh has no faces"]
+
+
+def test_project_fv_face_with_owner_as_neighbor_is_config_error(tmp_path, capsys):
+    """Such a face closes any cell; accepted, it gives column sums 33 % off the cell volumes."""
+    fv_path = tmp_path / "fv.json"
+    save_fv(fv_path, generate_box_fv([[0, 1]] * 3, (2, 2, 2)))
+    data = json.loads(fv_path.read_text())
+    data["faces"].append({**data["faces"][0], "neighbor": 0})
+    fv_path.write_text(json.dumps(data))
+    pr_cfg = {"version": "1", "fv_file": str(fv_path), "degree": 1,
+              "mesh": {"generator": {"box": [[0, 1], [0, 1], [0, 1]], "div": [1, 1, 1]}}}
+    assert cli.main(["project", "--config", _write_config(tmp_path, pr_cfg, "pr.json"), "--out", str(tmp_path / "pr")]) == 2
+    problem = f"fv_file {fv_path}: face 36 neighbor 0 is neither -1 nor another cell"
+    assert json.loads(capsys.readouterr().err)["problems"] == [problem]
 
 
 def test_fv_source_bad_field(tmp_path, capsys):

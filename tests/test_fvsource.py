@@ -10,8 +10,6 @@ from semwave.fvsource import (
     FvError,
     FvField,
     FvMesh,
-    _face_fluxes,
-    _face_values,
     generate_box_fv,
     lighthill_divergence,
     load_fv,
@@ -25,7 +23,9 @@ UNIT_BOX = [(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
 
 def boundary_flux_total(mesh: FvMesh, u: FvField, rho0: float) -> np.ndarray:
     """Sum of rho0 u_F (u_F . n) |F| over boundary faces (conservation check)."""
-    return _face_fluxes(mesh, u, rho0)[mesh.neighbor < 0].sum(axis=0)
+    bnd = mesh.neighbor < 0
+    uf = (mesh.face_interp @ u.values)[bnd]
+    return (rho0 * uf * ((uf * mesh.normal[bnd]).sum(axis=1) * mesh.area[bnd])[:, None]).sum(axis=0)
 
 
 def _shear(x, y, z):
@@ -100,6 +100,18 @@ def test_non_unit_normal_rejected():
     normal[5] *= 2.0
     with pytest.raises(FvError, match="unit"):
         FvMesh(mesh.centers, mesh.volumes, mesh.owner, mesh.neighbor, mesh.area, normal, mesh.midpoint)
+
+
+@pytest.mark.parametrize("neighbor", [0, -2])
+def test_face_with_itself_or_no_cell_as_neighbor_rejected(neighbor):
+    """A face whose neighbor is its owner would put a +1 and a -1 in one entry
+    of D and close any cell; the face must be named, not accepted."""
+    mesh = generate_box_fv(UNIT_BOX, (2, 2, 2))
+    extra = mesh.num_faces
+    with pytest.raises(FvError, match=f"^face {extra} neighbor {neighbor} is neither -1 nor another cell$"):
+        FvMesh(mesh.centers, mesh.volumes, np.append(mesh.owner, 0), np.append(mesh.neighbor, neighbor),
+               np.append(mesh.area, mesh.area[0]), np.vstack([mesh.normal, mesh.normal[:1]]),
+               np.vstack([mesh.midpoint, mesh.midpoint[:1]]))
 
 
 @pytest.mark.parametrize("name, index", [
@@ -188,9 +200,171 @@ def _face_values_oracle(mesh, values):
 def test_face_values_match_per_face_lstsq(rng, bounds, div):
     mesh = generate_box_fv(bounds, div)
     vector = rng.standard_normal((mesh.num_cells, 3))
-    np.testing.assert_allclose(_face_values(mesh, vector), _face_values_oracle(mesh, vector), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(mesh.face_interp @ vector, _face_values_oracle(mesh, vector), rtol=0, atol=1e-13)
     scalar = rng.standard_normal(mesh.num_cells)
-    np.testing.assert_allclose(_face_values(mesh, scalar), _face_values_oracle(mesh, scalar), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(mesh.face_interp @ scalar, _face_values_oracle(mesh, scalar), rtol=0, atol=1e-13)
+
+
+# -- D and F against the per-snapshot code they replace ---------------------
+
+
+def _graded_fv(edges):
+    """generate_box_fv on the index lattice, every coordinate then mapped
+    through the cell edges (one ascending array per axis)."""
+    lattice = generate_box_fv([(0, e.size - 1) for e in edges], [e.size - 1 for e in edges])
+
+    def to_x(p):
+        return np.stack([np.interp(p[:, a], np.arange(e.size), e) for a, e in enumerate(edges)], axis=1)
+
+    def widths(p):  # physical widths of the unit lattice intervals centered at p
+        return to_x(p + 0.5) - to_x(p - 0.5)
+
+    area = np.prod(np.where(np.abs(lattice.normal) > 0.5, 1.0, widths(lattice.midpoint)), axis=1)
+    return FvMesh(to_x(lattice.centers), np.prod(widths(lattice.centers), axis=1), lattice.owner,
+                  lattice.neighbor, area, lattice.normal, to_x(lattice.midpoint))
+
+
+def _keep_cells(mesh, keep):
+    """The cells where `keep` holds; a face toward a dropped cell becomes a
+    boundary face of the kept one."""
+    new = np.cumsum(keep) - 1
+    own_kept, nb_kept = keep[mesh.owner], (mesh.neighbor >= 0) & keep[mesh.neighbor]
+    faces = own_kept | nb_kept
+    flip = ~own_kept & nb_kept  # the kept neighbor becomes the owner
+    owner = new[np.where(flip, mesh.neighbor, mesh.owner)]
+    neighbor = np.where(own_kept & nb_kept, new[mesh.neighbor], -1)
+    normal = np.where(flip[:, None], -mesh.normal, mesh.normal)
+    return FvMesh(mesh.centers[keep], mesh.volumes[keep], owner[faces], neighbor[faces], mesh.area[faces],
+                  normal[faces], mesh.midpoint[faces])
+
+
+def _split_face(mesh, f):
+    """Face f replaced by two halves side by side, with the same cells."""
+    off = np.zeros(3)
+    off[np.argmin(np.abs(mesh.normal[f]))] = 0.25 * np.sqrt(mesh.area[f])
+    keep = np.arange(mesh.num_faces) != f
+    return FvMesh(
+        mesh.centers, mesh.volumes, np.append(mesh.owner[keep], [mesh.owner[f]] * 2),
+        np.append(mesh.neighbor[keep], [mesh.neighbor[f]] * 2), np.append(mesh.area[keep], [mesh.area[f] / 2] * 2),
+        np.vstack([mesh.normal[keep], mesh.normal[[f, f]]]),
+        np.vstack([mesh.midpoint[keep], mesh.midpoint[f] - off, mesh.midpoint[f] + off]),
+    )
+
+
+def _nonuniform_fv():
+    """Geometrically graded cells whose boundary owners have 1 to 6 neighbor
+    incidences: a 4x4x3 block (corners 3, edges 4, faces 5) with a two-cell
+    spike out of its x-max side (2, then 1), and the face between the z-min
+    face cells (1, 1, 0) and (2, 1, 0) split in two (6 each, one neighbor twice)."""
+    edges = [np.cumsum(np.r_[0.0, 1.3 ** np.arange(n)]) for n in (6, 4, 3)]
+    i, j, k = np.unravel_index(np.arange(72), (6, 4, 3))  # generate_box_fv numbers cells z fastest
+    mesh = _keep_cells(_graded_fv(edges), (i < 4) | ((j == 1) & (k == 1)))
+    return _split_face(mesh, int(np.nonzero((mesh.owner == 15) & (mesh.neighbor == 27))[0][0]))
+
+
+def _lexsorted_cell_faces(mesh):
+    """(cell, face) incidences sorted by cell, then face."""
+    interior = np.nonzero(mesh.neighbor >= 0)[0]
+    cell = np.concatenate([mesh.owner, mesh.neighbor[interior]])
+    face = np.concatenate([np.arange(mesh.num_faces), interior])
+    order = np.lexsort((face, cell))
+    return cell[order], face[order]
+
+
+def _per_snapshot_face_values(mesh, values):
+    """Face values as each snapshot once computed them: inverse-distance
+    weights inside; on boundary faces the owner value plus a least-squares
+    gradient, pinv of the neighbor offsets solved per neighbor count."""
+    vals2 = values if values.ndim == 2 else values[:, None]
+    out = vals2[mesh.owner].copy()
+    interior = mesh.neighbor >= 0
+    own, nb = mesh.owner[interior], mesh.neighbor[interior]
+    d_o = np.linalg.norm(mesh.midpoint[interior] - mesh.centers[own], axis=1)
+    d_n = np.linalg.norm(mesh.midpoint[interior] - mesh.centers[nb], axis=1)
+    w_o = (d_n / (d_o + d_n))[:, None]
+    out[interior] = w_o * vals2[own] + (1.0 - w_o) * vals2[nb]
+    bnd = ~interior
+    cells, owner_slot = np.unique(mesh.owner[bnd], return_inverse=True)
+    cell, face = _lexsorted_cell_faces(mesh)
+    inner = mesh.neighbor[face] >= 0
+    cell, other = cell[inner], (mesh.owner + mesh.neighbor)[face[inner]] - cell[inner]
+    start = np.searchsorted(cell, cells)
+    count = np.searchsorted(cell, cells, side="right") - start
+    grads = np.zeros((cells.size, 3, vals2.shape[1]))
+    for k in np.unique(count[count > 0]):
+        group = np.nonzero(count == k)[0]
+        nbrs = other[start[group][:, None] + np.arange(k)]
+        own = cells[group][:, None]
+        grads[group] = np.linalg.pinv(mesh.centers[nbrs] - mesh.centers[own], rtol=None) @ (vals2[nbrs] - vals2[own])
+    o = mesh.owner[bnd]
+    out[bnd] = vals2[o] + np.einsum("fd,fdm->fm", mesh.midpoint[bnd] - mesh.centers[o], grads[owner_slot])
+    return out if values.ndim == 2 else out[:, 0]
+
+
+def _per_snapshot_divergence(mesh, u, rho0):
+    """div(rho0 u x u) with every face flux scattered to its two cells."""
+    uf = _per_snapshot_face_values(mesh, u)
+    flux = rho0 * uf * np.einsum("fx,fx->f", uf, mesh.normal)[:, None] * mesh.area[:, None]
+    acc = np.zeros((mesh.num_cells, 3))
+    np.add.at(acc, mesh.owner, flux)
+    interior = mesh.neighbor >= 0
+    np.add.at(acc, mesh.neighbor[interior], -flux[interior])
+    return acc / mesh.volumes[:, None]
+
+
+FV_CASES = pytest.mark.parametrize(
+    "make_mesh", [lambda: generate_box_fv([(0.0, 1.0), (0.0, 2.0), (0.0, 1.5)], (5, 4, 3)), _nonuniform_fv],
+    ids=["box", "nonuniform"],
+)
+
+
+def test_nonuniform_mesh_has_owners_of_one_to_six_neighbors():
+    mesh = _nonuniform_fv()
+    cell, face = _lexsorted_cell_faces(mesh)
+    count = np.bincount(cell[mesh.neighbor[face] >= 0], minlength=mesh.num_cells)
+    assert set(count[mesh.owner[mesh.neighbor < 0]]) == {1, 2, 3, 4, 5, 6}
+    widths = np.diff(np.unique(mesh.centers[:, 0]))
+    assert widths.max() > 1.5 * widths.min()
+
+
+@FV_CASES
+def test_operators_match_per_snapshot_code(rng, make_mesh):
+    mesh = make_mesh()
+    u = rng.standard_normal((mesh.num_cells, 3))
+    np.testing.assert_allclose(mesh.face_interp @ u, _per_snapshot_face_values(mesh, u), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(mesh.face_interp @ u, _face_values_oracle(mesh, u), rtol=0, atol=1e-13)
+    scalar = u[:, 0]
+    np.testing.assert_allclose(mesh.face_interp @ scalar, _per_snapshot_face_values(mesh, scalar), rtol=0, atol=1e-13)
+    got = lighthill_divergence(mesh, FvField(mesh, u), rho0=1.3).values
+    expected = _per_snapshot_divergence(mesh, u, 1.3)
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@FV_CASES
+def test_incidence_rows_list_faces_in_ascending_order(make_mesh):
+    mesh = make_mesh()
+    cell, face, sign = mesh.cell_faces()
+    expected_cell, expected_face = _lexsorted_cell_faces(mesh)
+    np.testing.assert_array_equal(cell, expected_cell)
+    np.testing.assert_array_equal(face, expected_face)
+    np.testing.assert_array_equal(sign, np.where(mesh.owner[face] == cell, 1.0, -1.0))
+    assert mesh.incidence.shape == (mesh.num_cells, mesh.num_faces)
+    assert mesh.face_interp.shape == (mesh.num_faces, mesh.num_cells)
+
+
+def test_face_interp_built_once_per_mesh(monkeypatch):
+    """The least-squares inverses are taken when F is first needed, not again
+    for later snapshots on the same mesh."""
+    calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda *a, **kw: calls.append(1) or pinv(*a, **kw))
+    mesh = _nonuniform_fv()
+    counts = []
+    for t in (0.0, 0.5, 1.0):
+        u = sample_velocity(mesh, lambda x, y, z: (np.sin(x + t), y * z, np.cos(y - t)), time=t)
+        lighthill_divergence(mesh, u, 1.0)
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[2] == counts[0]
 
 
 def test_smooth_field_second_order_interior():

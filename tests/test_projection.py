@@ -241,12 +241,13 @@ def _box_fv_cells(bounds, div):
 @pytest.mark.parametrize("npts", [2, 4])
 def test_clipped_coupling_matches_per_cell_oracle(graded_mesh, degree, npts):
     """FV cells straddling up to 2x2x2 elements, partly outside the mesh
-    (x < 0, z < 0) or wholly outside it (x > 1.15)."""
+    (x < 0, z < 0) or wholly outside it (x > 1.15).  The clipped rule is
+    exact whatever npts is, so the oracle takes 4 points, exact to degree 7."""
     space = build_space(graded_mesh, degree)
     bounds, div = [(-0.2, 1.6), (0.1, 0.9), (-0.5, 0.9)], (4, 2, 2)
     coupling = assemble_coupling(space, generate_box_fv(bounds, div), points_per_axis=npts)
     cells = _box_fv_cells(bounds, div)
-    dense = _clip_oracle(space, cells, npts)
+    dense = _clip_oracle(space, cells, 4)
     got = coupling.matrix.toarray()
     assert np.abs(got - dense).max() <= 1e-14 * np.abs(dense).max()
     assert coupling.empty_columns == int(np.all(dense == 0.0, axis=0).sum()) == 4
@@ -255,6 +256,41 @@ def test_clipped_coupling_matches_per_cell_oracle(graded_mesh, degree, npts):
     elo, ehi = corners.min(axis=1), corners.max(axis=1)
     straddle = [int(np.all(np.minimum(ehi, hi) > np.maximum(elo, lo), axis=1).sum()) for lo, hi in cells]
     assert {0, 2, 4, 8} <= set(straddle) and max(straddle) == 8
+
+
+def _clip_reference(space, cell_boxes, npts):
+    """Dense M^AF columns of box cells over box elements, one axis at a time:
+    the npts-point Gauss integral of every 1D cardinal over each clip width,
+    then their tensor product."""
+    gx, gw = np.polynomial.legendre.leggauss(npts)
+    corners = space.mesh.vertices[space.mesh.elements]
+    p = space.rule.nodes.size
+    dense = np.zeros((space.ndof, len(cell_boxes)))
+    for col, (clo, chi) in enumerate(cell_boxes):
+        for e in range(space.mesh.num_elements):
+            elo, ehi = corners[e].min(axis=0), corners[e].max(axis=0)
+            lo, hi = np.maximum(elo, clo), np.minimum(ehi, chi)
+            if np.any(hi <= lo):
+                continue
+            axis_int = []
+            for a in range(3):
+                xi = 2.0 * (0.5 * (lo[a] + hi[a]) + 0.5 * (hi[a] - lo[a]) * gx - elo[a]) / (ehi[a] - elo[a]) - 1.0
+                values = np.array([_lagrange_1d(space.rule.nodes, t) for t in xi])  # (npts, p)
+                axis_int.append(0.5 * (hi[a] - lo[a]) * gw @ values)
+            dense[space.emap[e], col] += np.einsum("i,j,k->kji", *axis_int).reshape(p ** 3)
+    return dense
+
+
+@pytest.mark.parametrize("degree", range(2, 9))
+def test_clipped_coupling_is_exact_at_any_points_per_axis(degree):
+    """The clipped rule takes r // 2 + 1 points per axis whatever
+    points_per_axis is; the sampled rule's points would leave it 0.73 off at
+    r = 2 with one point and 0.96 off at r = 8 with three."""
+    space = build_space(generate_box_mesh(UNIT_BOX, (2, 2, 2)), degree)
+    reference = _clip_reference(space, _box_fv_cells(UNIT_BOX, (3, 3, 3)), 8)
+    for npts in (1, 2, 3):
+        got = assemble_coupling(space, generate_box_fv(UNIT_BOX, (3, 3, 3)), npts).matrix.toarray()
+        assert np.abs(got - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
 def _split_xmin_face(fv, cell):
