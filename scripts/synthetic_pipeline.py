@@ -4,9 +4,9 @@ shear velocity field: sample the flow on a finite-volume mesh, project
 the source onto the spectral space, and propagate it with absorbing
 walls.  Thin wrapper over the three CLI stages; all intermediate
 artifacts (FV source file, projected loads, conservation report, probe
-CSV, manifests) land in the output directory.  Each stage prints its
-wall time.  The run fails (non-zero exit) when a stage fails or when the
-projection's conservation report breaks the transfer's invariants: column
+CSV, a VTK snapshot every 100 steps, manifests) land in the output
+directory.  Each stage prints its wall time.  The run fails (non-zero
+exit) when a stage fails or when the projection's conservation report breaks the transfer's invariants: column
 sums off the cell volumes by more than 1e-12 relative, any sample outside
 the acoustic mesh or empty column, or transferred masses that differ by
 more than 1e-12 relative.
@@ -64,6 +64,7 @@ def main() -> None:
         "version": "1", "rho0": rho0, "c0": c0, "degree": 2,
         "mesh": {"generator": {"box": slab, "div": [8, 8, 2]}},
         "time": {"dt": 1e-5, "t_final": 5e-3, "beta": 0.0, "gamma": 0.5},
+        "snapshot_stride": 100,
         "impedance": {t: rho0 * c0 for t in ("xmin", "xmax", "ymin", "ymax", "zmin", "zmax")},
         "source": {"type": "projected", "files": [str(out / "proj" / "load_0000.npy")], "stride": 4},
         "probes": {"mid": [0.5, 0.5, 0.05]},

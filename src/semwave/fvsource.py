@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -115,6 +117,11 @@ class FvMesh:
             raise FvError("non-positive cell volume")
         if self.num_faces == 0:
             raise FvError("FV mesh has no faces")
+        nc, nf = self.num_cells, self.num_faces
+        for name, shape in (("centers", (nc, 3)), ("volumes", (nc,)), ("owner", (nf,)), ("neighbor", (nf,)),
+                            ("area", (nf,)), ("normal", (nf, 3)), ("midpoint", (nf, 3))):
+            if getattr(self, name).shape != shape:
+                raise FvError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
         if np.any(self.area <= 0):
             raise FvError("non-positive face area")
         norms = np.linalg.norm(self.normal, axis=1)
@@ -148,8 +155,10 @@ class FvField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape[0] != self.mesh.num_cells:
-            raise FvError("field length does not match cell count")
+        nc = self.mesh.num_cells
+        if self.values.shape not in ((nc,), (nc, 3)):
+            raise FvError(f"field values must be one scalar or one 3-vector per cell ({nc}), "
+                          f"got shape {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise FvError("non-finite field values")
 
@@ -234,23 +243,94 @@ def spanwise_average(field: FvField, axis: int) -> FvField:
 # -- file I/O -------------------------------------------------------------
 
 
+_CELL = '{"center": [%r, %r, %r], "volume": %r}'
+_FACE = '{"owner": %d, "neighbor": %d, "area": %r, "normal": [%r, %r, %r], "midpoint": [%r, %r, %r]}'
+
+
+def _rows(template: str, table: np.ndarray) -> str:
+    """One template per row of table, joined by ', ': %r of a float is its
+    repr, which is what json writes for a finite float."""
+    return ", ".join([template] * len(table)) % tuple(table.ravel().tolist())
+
+
 def save_fv(path, mesh: FvMesh, fields: list[FvField] | None = None):
-    keys = ("owner", "neighbor", "area", "normal", "midpoint")
-    faces = zip(*(getattr(mesh, k).tolist() for k in keys))
-    data = {
-        "version": FV_FORMAT_VERSION,
-        "cells": [{"center": c, "volume": v} for c, v in zip(mesh.centers.tolist(), mesh.volumes.tolist())],
-        "faces": [dict(zip(keys, f)) for f in faces],
-        "fields": [
-            {"name": f.name, "time": float(f.time), "values": f.values.tolist()} for f in (fields or [])
-        ],
-    }
+    """Write mesh and fields as the FV JSON file: the bytes of json.dumps of
+    {"version", "cells": [{"center", "volume"}], "faces": [{"owner",
+    "neighbor", "area", "normal", "midpoint"}], "fields": [{"name", "time",
+    "values"}]}, each row formatted through a fixed template."""
+    cells = _rows(_CELL, np.column_stack([mesh.centers, mesh.volumes]))
+    faces = _rows(_FACE, np.column_stack([mesh.owner, mesh.neighbor, mesh.area, mesh.normal, mesh.midpoint]))
+    values = [
+        '{"name": %s, "time": %s, "values": [%s]}' % (
+            json.dumps(f.name), json.dumps(float(f.time)),
+            _rows("[%r, %r, %r]" if f.values.ndim == 2 else "%r", f.values),
+        ) for f in fields or []
+    ]
     with open(path, "w") as fh:
-        fh.write(json.dumps(data))
+        fh.write('{"version": %s, "cells": [%s], "faces": [%s], "fields": [%s]}'
+                 % (json.dumps(FV_FORMAT_VERSION), cells, faces, ", ".join(values)))
+
+
+def _floats(rows: list, width: int, what) -> np.ndarray:
+    """rows as floats, shape (n,) when width is 0, else (n, width): each row a
+    number, or a list of width numbers.  The first row that is not is an
+    FvError naming what(i)."""
+    n = len(rows)
+    try:
+        if not width:
+            return np.fromiter(rows, float, n)
+        if all(type(row) is list and len(row) == width for row in rows):
+            return np.fromiter(chain.from_iterable(rows), float, n * width).reshape(n, width)
+    except (TypeError, ValueError, OverflowError):  # an object, a string, a nested list or a huge integer
+        pass
+    shape = (width,) if width else ()
+    for i, row in enumerate(rows):
+        try:
+            ok = np.asarray(row, dtype=float).shape == shape
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise FvError(f"FV file {what(i)} must be {f'{width} numbers' if width else 'a number'}, got {row!r}")
+    raise FvError(f"FV file {what('*')} must be {f'{width} numbers' if width else 'a number'}")
+
+
+def _column(entries: list, kind: str, key: str, width: int = 0) -> np.ndarray:
+    """Column key of the file's kind ("cells" or "faces") entries as floats."""
+    return _floats(list(map(itemgetter(key), entries)), width, lambda i: f"{kind}[{i}] {key}")
+
+
+def _indices(faces: list, key: str) -> np.ndarray:
+    """Face column key as integers; a value that is not a whole number in the
+    int64 range is an FvError."""
+    v = _column(faces, "faces", key)
+    bad = np.flatnonzero(~(np.abs(v) < 2.0**62) | (v != np.trunc(v)))  # NaN fails the first test
+    if bad.size:
+        raise FvError(f"FV file faces[{bad[0]}] {key} must be an integer index, got {faces[bad[0]][key]!r}")
+    return v.astype(int)
+
+
+def _field(mesh: FvMesh, j: int, entry: dict) -> FvField:
+    """Field entry j: values are one number or one 3-vector per cell."""
+    values = entry["values"]
+    if not isinstance(values, list) or len(values) != mesh.num_cells:
+        got = f"{len(values)} entries" if isinstance(values, list) else repr(values)
+        raise FvError(f"FV file fields[{j}] values must list one value per cell ({mesh.num_cells}), got {got}")
+    width = 3 if values and type(values[0]) is list else 0
+    values = _floats(values, width, lambda i: f"fields[{j}] values[{i}]")
+    try:
+        time = float(entry.get("time", 0.0))
+    except (TypeError, ValueError):
+        raise FvError(f"FV file fields[{j}] time must be a number, got {entry['time']!r}") from None
+    return FvField(mesh, values, time=time, name=entry.get("name", ""))
 
 
 def load_fv(path) -> tuple[FvMesh, list[FvField]]:
-    """Load and validate an FV data file; fields come back time-sorted."""
+    """Load and validate an FV data file; fields come back time-sorted.
+
+    Each column is read in one pass.  A center, normal or midpoint that is
+    not 3 numbers, an owner or neighbor that is not an integer index, and
+    field values that are not one number or one 3-vector per cell are
+    FvErrors naming the entry and key."""
     with open(path) as fh:
         data = json.load(fh)
     version = data.get("version") if isinstance(data, dict) else None
@@ -269,14 +349,11 @@ def load_fv(path) -> tuple[FvMesh, list[FvField]]:
     cells, faces = data["cells"], data["faces"]
     try:
         mesh = FvMesh(
-            np.array([c["center"] for c in cells], dtype=float),
-            np.array([c["volume"] for c in cells], dtype=float),
-            *([f[key] for f in faces] for key in ("owner", "neighbor", "area", "normal", "midpoint")),
+            _column(cells, "cells", "center", 3), _column(cells, "cells", "volume"),
+            _indices(faces, "owner"), _indices(faces, "neighbor"), _column(faces, "faces", "area"),
+            _column(faces, "faces", "normal", 3), _column(faces, "faces", "midpoint", 3),
         )
-        fields = [
-            FvField(mesh, np.array(f["values"], dtype=float), time=float(f.get("time", 0.0)), name=f.get("name", ""))
-            for f in data.get("fields", [])
-        ]
+        fields = [_field(mesh, j, f) for j, f in enumerate(data.get("fields", []))]
     except KeyError as exc:  # a cell, face or field entry without one of its keys
         raise FvError(f"FV file entry lacks {exc.args[0]!r}") from None
     fields.sort(key=lambda f: f.time)

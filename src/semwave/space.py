@@ -151,25 +151,36 @@ def l2_error(space: SpectralSpace, field: SpectralField, exact, points: int | No
 
 def write_vtk(space: SpectralSpace, fields: dict[str, SpectralField], path):
     """Legacy ASCII VTK: each element split into r^3 linear hex sub-cells
-    sampled at the GLL nodes (cell type 12)."""
-    r = space.degree
-    p = r + 1
-    # sub-cell origins (i fastest) plus the offsets of the 8 hex corners in VTK order
-    origin = np.arange(p**3).reshape(p, p, p)[:r, :r, :r].ravel()
-    quad = np.array([0, 1, 1 + p, p])
-    cells = space.emap[:, origin[:, None] + np.concatenate([quad, quad + p * p])].reshape(-1, 8).tolist()
-    ncell = len(cells)
+    sampled at the GLL nodes (cell type 12).
 
+    Everything before the first SCALARS block (header, POINTS, CELLS,
+    CELL_TYPES and the POINT_DATA line) depends on the space alone.  The
+    first call formats it once and caches the text in space._geom["vtk"];
+    every call writes that text and then each field's SCALARS block, so a
+    space's mesh and numbering must not change after its first write (as
+    element_geometry already assumes).  Each block is one % format.
+    """
+    head = space._geom.get("vtk")
+    if head is None:
+        r = space.degree
+        p = r + 1
+        # sub-cell origins (i fastest) plus the offsets of the 8 hex corners in VTK order
+        origin = np.arange(p**3).reshape(p, p, p)[:r, :r, :r].ravel()
+        quad = np.array([0, 1, 1 + p, p])
+        cells = space.emap[:, origin[:, None] + np.concatenate([quad, quad + p * p])]
+        ncell = cells.size // 8
+        head = space._geom["vtk"] = "".join([
+            "# vtk DataFile Version 3.0\nsemwave output\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+            f"POINTS {space.ndof} double\n",
+            "%.16g %.16g %.16g\n" * space.ndof % tuple(space.node_coords.ravel().tolist()),
+            f"CELLS {ncell} {9 * ncell}\n",
+            "8 %d %d %d %d %d %d %d %d\n" * ncell % tuple(cells.ravel().tolist()),
+            f"CELL_TYPES {ncell}\n",
+            "12\n" * ncell,
+            f"POINT_DATA {space.ndof}\n",
+        ])
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\nsemwave output\nASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {space.ndof} double\n")
-        fh.write("".join(f"{x:.16g} {y:.16g} {z:.16g}\n" for x, y, z in space.node_coords.tolist()))
-        fh.write(f"CELLS {ncell} {9 * ncell}\n")
-        fh.write("".join("8 " + " ".join(map(str, ids)) + "\n" for ids in cells))
-        fh.write(f"CELL_TYPES {ncell}\n")
-        fh.write("\n".join(["12"] * ncell) + "\n")
-        fh.write(f"POINT_DATA {space.ndof}\n")
+        fh.write(head)
         for name, fld in fields.items():
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            fh.write("\n".join(f"{v:.16g}" for v in fld.coeffs) + "\n")
+            fh.write("%.16g\n" * fld.coeffs.size % tuple(fld.coeffs.tolist()))

@@ -829,6 +829,36 @@ def test_fv_file_cell_without_center_is_config_error(tmp_path, capsys):
         f"fv_file {cfg['fv_file']}: FV file entry lacks 'center'"]
 
 
+def _shorten_centers(fv):
+    for cell in fv["cells"]:
+        cell["center"] = cell["center"][:2]
+
+
+def _fractional_owner(fv):
+    fv["faces"][3]["owner"] += 0.7  # read as an int, it would be the right owner
+
+
+def _short_vector_rows(fv):
+    for field in fv["fields"]:
+        field["values"] = [row[:2] for row in field["values"]]
+
+
+@pytest.mark.parametrize("change, problem", [
+    (_shorten_centers, "cells[0] center must be 3 numbers, got [0.25, 0.25]"),
+    (_fractional_owner, "faces[3] owner must be an integer index, got 0.7"),
+    (_short_vector_rows, "fields[0] values[0] must be 3 numbers, got [0.25, 0.25]"),
+], ids=["center-2-long", "fractional-owner", "vector-rows-2-long"])
+def test_misshapen_fv_file_entry_is_config_error(tmp_path, capsys, change, problem):
+    """project on an FV file whose entries have the wrong shape or type exits 2
+    with one problem naming the entry and key, before anything is projected."""
+    cfg = _bad_config(tmp_path, "project", lambda cfg, tmp_path: None)
+    fv = json.loads(open(cfg["fv_file"]).read())
+    change(fv)
+    (tmp_path / "fv" / "fv_source.json").write_text(json.dumps(fv))
+    assert _stage_problems(tmp_path, capsys, "project", cfg) == [f"fv_file {cfg['fv_file']}: FV file {problem}"]
+    assert not any((tmp_path / "o").glob("*.npy"))
+
+
 @pytest.mark.parametrize("command", ["fv-source", "project"])
 @pytest.mark.parametrize("key", ["cells", "faces", "fields"])
 @pytest.mark.parametrize("bad, expected", [

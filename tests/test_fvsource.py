@@ -1,6 +1,7 @@
 """FV donor mesh, Lighthill source divergence, averaging and file I/O."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -482,10 +483,25 @@ def test_save_load_roundtrip(tmp_path):
     np.testing.assert_allclose(back_fields[1].values, np.arange(12.0))
 
 
+def _save_fv_oracle(path, mesh, fields):
+    """The writer before row templates: one dict per cell and per face, then
+    one json.dumps of the whole file."""
+    keys = ("owner", "neighbor", "area", "normal", "midpoint")
+    faces = zip(*(getattr(mesh, k).tolist() for k in keys))
+    data = {
+        "version": FV_FORMAT_VERSION,
+        "cells": [{"center": c, "volume": v} for c, v in zip(mesh.centers.tolist(), mesh.volumes.tolist())],
+        "faces": [dict(zip(keys, f)) for f in faces],
+        "fields": [
+            {"name": f.name, "time": float(f.time), "values": f.values.tolist()} for f in (fields or [])
+        ],
+    }
+    with open(path, "w") as fh:
+        fh.write(json.dumps(data))
+
+
 def test_save_fv_bytes_match_row_by_row_layout(tmp_path, rng):
     """The file is the one json.dump of a dict built row by row."""
-    import json
-
     mesh = generate_box_fv([(0.0, 1.0), (-1.0, 0.3), (0.0, 0.2)], (3, 4, 2))
     fields = [
         FvField(mesh, rng.standard_normal((mesh.num_cells, 3)) * 1e-7, time=0.25, name="U"),
@@ -493,22 +509,102 @@ def test_save_fv_bytes_match_row_by_row_layout(tmp_path, rng):
     ]
     reduced = spanwise_average(fields[0], axis=2)
     for m, fs in ((mesh, fields), (reduced.mesh, [reduced]), (mesh, None)):
-        expected = {
-            "version": FV_FORMAT_VERSION,
-            "cells": [{"center": [float(x) for x in c], "volume": float(v)} for c, v in zip(m.centers, m.volumes)],
-            "faces": [
-                {"owner": int(m.owner[f]), "neighbor": int(m.neighbor[f]), "area": float(m.area[f]),
-                 "normal": [float(x) for x in m.normal[f]], "midpoint": [float(x) for x in m.midpoint[f]]}
-                for f in range(m.num_faces)
-            ],
-            "fields": [{"name": f.name, "time": float(f.time), "values": f.values.tolist()} for f in fs or []],
-        }
-        ref = tmp_path / "ref.json"
-        with open(ref, "w") as fh:
-            json.dump(expected, fh)
-        path = tmp_path / "fv.json"
+        path, ref = tmp_path / "fv.json", tmp_path / "ref.json"
         save_fv(path, m, fs)
+        _save_fv_oracle(ref, m, fs)
         assert path.read_bytes() == ref.read_bytes()
+
+
+def _rotated_nonuniform_fv():
+    """_nonuniform_fv turned by a random rotation: every coordinate and normal
+    component a full-precision float of either sign."""
+    mesh = _nonuniform_fv()
+    q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+    return FvMesh(mesh.centers @ q.T, mesh.volumes, mesh.owner, mesh.neighbor, mesh.area, mesh.normal @ q.T,
+                  mesh.midpoint @ q.T)
+
+
+@pytest.mark.parametrize("make_mesh", [lambda: generate_box_fv(UNIT_BOX, (3, 2, 2)), _nonuniform_fv,
+                                       _rotated_nonuniform_fv], ids=["box", "nonuniform", "rotated"])
+@pytest.mark.parametrize("kinds", ["", "s", "vsv"])
+def test_save_fv_bytes_match_oracle(tmp_path, rng, make_mesh, kinds):
+    """The template writer gives the bytes of json.dumps of the dict layout,
+    and load_fv reads back the very arrays."""
+    mesh = make_mesh()
+    fields = [
+        FvField(mesh, rng.standard_normal((mesh.num_cells, 3) if kind == "v" else mesh.num_cells)
+                * 10.0 ** rng.integers(-300, 300), time=float(rng.uniform()), name=f"f{i} \u00e9\"")
+        for i, kind in enumerate(kinds)
+    ]
+    if fields:
+        fields[0].values.flat[:2] = (0.0, -0.0)
+    path, ref = tmp_path / "fv.json", tmp_path / "ref.json"
+    save_fv(path, mesh, fields)
+    _save_fv_oracle(ref, mesh, fields)
+    assert path.read_bytes() == ref.read_bytes()
+    back, back_fields = load_fv(path)
+    for name in ("centers", "volumes", "owner", "neighbor", "area", "normal", "midpoint"):
+        assert np.array_equal(getattr(back, name), getattr(mesh, name))
+        assert getattr(back, name).dtype == getattr(mesh, name).dtype
+    for f, g in zip(sorted(fields, key=lambda f: f.time), back_fields):
+        assert np.array_equal(f.values, g.values) and (f.time, f.name) == (g.time, g.name)
+
+
+def _corrupt_fv(tmp_path, change):
+    """A 2x2x1 box FV file with a scalar and a vector field, edited by change(data)."""
+    mesh = generate_box_fv(UNIT_BOX, (2, 2, 1))
+    path = tmp_path / "fv.json"
+    save_fv(path, mesh, [FvField(mesh, np.ones(4), time=0.0), FvField(mesh, np.ones((4, 3)), time=1.0)])
+    data = json.loads(path.read_text())
+    change(data)
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _set_entry(kind, i, key, value):
+    return lambda data: data[kind][i].__setitem__(key, value)
+
+
+@pytest.mark.parametrize("change, problem", [
+    (_set_entry("cells", 2, "center", [0.5, 0.5]), "cells[2] center must be 3 numbers, got [0.5, 0.5]"),
+    (_set_entry("cells", 0, "center", 0.5), "cells[0] center must be 3 numbers, got 0.5"),
+    (_set_entry("cells", 1, "center", [0.5, 0.5, "x"]), "cells[1] center must be 3 numbers, got [0.5, 0.5, 'x']"),
+    (_set_entry("cells", 3, "volume", [1.0]), "cells[3] volume must be a number, got [1.0]"),
+    (_set_entry("faces", 4, "normal", [1.0, 0.0, 0.0, 0.0]),
+     "faces[4] normal must be 3 numbers, got [1.0, 0.0, 0.0, 0.0]"),
+    (_set_entry("faces", 5, "midpoint", [[0.5], 0.5, 0.0]),
+     "faces[5] midpoint must be 3 numbers, got [[0.5], 0.5, 0.0]"),
+    (_set_entry("faces", 6, "area", {"a": 1}), "faces[6] area must be a number, got {'a': 1}"),
+    (_set_entry("faces", 3, "owner", 1.7), "faces[3] owner must be an integer index, got 1.7"),
+    (_set_entry("faces", 2, "neighbor", None), "faces[2] neighbor must be an integer index, got None"),
+    (_set_entry("faces", 0, "owner", 1e300), "faces[0] owner must be an integer index, got 1e+300"),
+    (_set_entry("faces", 0, "area", 10**400), f"faces[0] area must be a number, got {10**400}"),
+    (_set_entry("fields", 1, "time", [0.5]), "fields[1] time must be a number, got [0.5]"),
+    (_set_entry("fields", 0, "values", [1.0, 1.0, [1.0], 1.0]), "fields[0] values[2] must be a number, got [1.0]"),
+    (_set_entry("fields", 1, "values", [[1.0, 1.0]] * 4), "fields[1] values[0] must be 3 numbers, got [1.0, 1.0]"),
+    (_set_entry("fields", 1, "values", [1.0] * 3), "fields[1] values must list one value per cell (4), got 3 entries"),
+    (_set_entry("fields", 0, "values", 1.0), "fields[0] values must list one value per cell (4), got 1.0"),
+], ids=["center-short", "center-number", "center-str", "volume-list", "normal-long", "midpoint-nested",
+        "area-object", "owner-fraction", "neighbor-null", "owner-huge", "area-huge-int", "time-list", "scalar-list",
+        "vector-short", "values-count", "values-number"])
+def test_load_rejects_misshapen_entry(tmp_path, change, problem):
+    """An entry of the wrong shape or type is an FvError naming the entry and key."""
+    path = _corrupt_fv(tmp_path, change)
+    with pytest.raises(FvError, match="^" + re.escape("FV file " + problem) + "$"):
+        load_fv(path)
+
+
+def test_mesh_and_field_shapes_validated():
+    mesh = generate_box_fv(UNIT_BOX, (2, 1, 1))
+    with pytest.raises(FvError, match=r"^centers has shape \(2, 2\), expected \(2, 3\)$"):
+        FvMesh(mesh.centers[:, :2], mesh.volumes, mesh.owner, mesh.neighbor, mesh.area, mesh.normal, mesh.midpoint)
+    with pytest.raises(FvError, match=r"^normal has shape"):
+        FvMesh(mesh.centers, mesh.volumes, mesh.owner, mesh.neighbor, mesh.area, mesh.normal[:, :2], mesh.midpoint)
+    with pytest.raises(FvError, match=r"^neighbor has shape"):
+        FvMesh(mesh.centers, mesh.volumes, mesh.owner, mesh.neighbor[:-1], mesh.area, mesh.normal, mesh.midpoint)
+    for values in (np.ones((2, 2)), np.ones(3), np.float64(1.0)):
+        with pytest.raises(FvError, match=rf"one 3-vector per cell \(2\), got shape {re.escape(str(values.shape))}$"):
+            FvField(mesh, values)
 
 
 def test_load_rejects_bad_version(tmp_path):

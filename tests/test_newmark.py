@@ -208,6 +208,12 @@ def test_run_writes_snapshots(tmp_path, unit_space_r1):
     assert len(result.snapshot_files) == 3  # steps 0, 2, 4
     for path in result.snapshot_files:
         assert path.endswith(".vtk")
+    from semwave.space import SpectralField
+    from test_space import _write_vtk_oracle
+
+    oracle = tmp_path / "oracle.vtk"
+    _write_vtk_oracle(unit_space_r1, {"rho": SpectralField(unit_space_r1, result.final.rho)}, oracle)
+    assert open(result.snapshot_files[-1], "rb").read() == oracle.read_bytes()
 
 
 def test_probe_csv_roundtrip(tmp_path):

@@ -156,6 +156,30 @@ def test_trilinear_reproduction_property(coeffs, pt):
     assert abs(evaluate(space, fld, x) - g(*x)) < 1e-9
 
 
+def _write_vtk_oracle(space, fields, path):
+    """The writer before the geometry text was cached: every block formatted
+    line by line on every call."""
+    r = space.degree
+    p = r + 1
+    origin = np.arange(p**3).reshape(p, p, p)[:r, :r, :r].ravel()
+    quad = np.array([0, 1, 1 + p, p])
+    cells = space.emap[:, origin[:, None] + np.concatenate([quad, quad + p * p])].reshape(-1, 8).tolist()
+    ncell = len(cells)
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 3.0\nsemwave output\nASCII\n")
+        fh.write("DATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {space.ndof} double\n")
+        fh.write("".join(f"{x:.16g} {y:.16g} {z:.16g}\n" for x, y, z in space.node_coords.tolist()))
+        fh.write(f"CELLS {ncell} {9 * ncell}\n")
+        fh.write("".join("8 " + " ".join(map(str, ids)) + "\n" for ids in cells))
+        fh.write(f"CELL_TYPES {ncell}\n")
+        fh.write("\n".join(["12"] * ncell) + "\n")
+        fh.write(f"POINT_DATA {space.ndof}\n")
+        for name, fld in fields.items():
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            fh.write("\n".join(f"{v:.16g}" for v in fld.coeffs) + "\n")
+
+
 def test_write_vtk(tmp_path, cube2_space_r2):
     space = cube2_space_r2
     fld = interpolate(space, lambda x, y, z: x + y)
@@ -314,3 +338,32 @@ def test_basis_rows_match_per_point_basis(unit_mesh, rng, r):
 
     np.testing.assert_allclose(rows @ poly(nodes), poly(xi), rtol=0, atol=1e-12)
     assert basis_rows(space, np.empty((0, 3))).shape == (0, space.nloc)
+
+
+@pytest.mark.parametrize("r, warped", [(1, False), (2, False), (3, False), (2, True)])
+def test_write_vtk_bytes_match_oracle(tmp_path, rng, perturbed_mesh, r, warped):
+    """The cached geometry text plus per-field scalars give the oracle's bytes,
+    on the first call and on later calls with changed coefficients."""
+    mesh = perturbed_mesh if warped else generate_box_mesh([(0.0, 1.5), (-1.0, 0.0), (0.0, 0.7)], (3, 2, 2))
+    space = build_space(mesh, r)  # a fresh space: the first write builds the cache
+    assert "vtk" not in space._geom
+    for call in range(3):
+        fields = {name: SpectralField(space, rng.standard_normal(space.ndof) * 10.0 ** rng.integers(-12, 12))
+                  for name in ("p", "rho")}
+        fields["p"].coeffs[:2] = (0.0, -0.0)
+        new, old = tmp_path / f"new{call}.vtk", tmp_path / f"old{call}.vtk"
+        write_vtk(space, fields, new)
+        _write_vtk_oracle(space, fields, old)
+        assert new.read_bytes() == old.read_bytes()
+        assert "vtk" in space._geom
+
+
+def test_write_vtk_geometry_built_once(tmp_path, monkeypatch):
+    """Later snapshots reuse the cached text: the geometry is not read again."""
+    space = build_space(generate_box_mesh(UNIT_BOX, (2, 1, 1)), 2)
+    fld = interpolate(space, lambda x, y, z: x * y - z)
+    write_vtk(space, {"p": fld}, tmp_path / "a.vtk")
+    monkeypatch.setattr(space, "node_coords", None)
+    monkeypatch.setattr(space, "emap", None)
+    write_vtk(space, {"p": fld}, tmp_path / "b.vtk")
+    assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "b.vtk").read_bytes()
