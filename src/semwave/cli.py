@@ -9,7 +9,6 @@ are no hidden defaults for rho0, c0 or Z.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -25,8 +24,8 @@ from .curle import CurleError, ForceHistory, curle_pressure, psd
 from .fvsource import (FvError, generate_box_fv, lighthill_divergence, load_fv, sample_velocity, save_fv,
                        spanwise_average)
 from .gll import MAX_DEGREE
-from .mesh import DEFAULT_BOX_TAGS, HexMesh, MeshError, generate_box_mesh
-from .newmark import NewmarkConfig, run, write_probe_csv
+from .mesh import BOX_SIDES, FACE_AXIS, HexMesh, MeshError, generate_box_mesh
+from .newmark import NewmarkConfig, run, write_csv, write_probe_csv
 from .projection import aeroacoustic_load, build_projection
 from .space import SpectralField, build_space, interpolate, l2_error
 
@@ -78,9 +77,9 @@ RULES = {
             "{where} must be 3 [lo, hi] pairs of finite numbers, lo < hi, got {value!r}"),
     "div": (lambda v: isinstance(v, list) and len(v) == 3 and all(type(n) is int and n >= 1 for n in v),
             "{where} must be 3 positive integers, got {value!r}"),
-    "tags": (lambda v: isinstance(v, dict) and set(v) <= set(DEFAULT_BOX_TAGS)
+    "tags": (lambda v: isinstance(v, dict) and set(v) <= set(BOX_SIDES)
              and all(isinstance(t, str) for t in v.values()),
-             f"{{where}} must map sides of {list(DEFAULT_BOX_TAGS)} to tag names, got {{value!r}}"),
+             f"{{where}} must map sides of {list(BOX_SIDES)} to tag names, got {{value!r}}"),
     "file": (lambda v: isinstance(v, str) and Path(v).is_file(), "{where} must name an existing file, got {value!r}"),
 }
 
@@ -187,15 +186,6 @@ def _newmark_from_config(cfg: dict, problems) -> NewmarkConfig | None:
         return None
 
 
-def _write_csv(path: Path, header, rows) -> Path:
-    """header, then rows, with each float written to 12 significant digits."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
-    return path
-
-
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -220,13 +210,6 @@ def write_manifest(out_dir: Path, cfg: dict, outputs: list[Path], seed=None, met
 
 # -- mms ------------------------------------------------------------------
 
-BOX_NORMALS = {
-    "xmin": (-1, 0, 0), "xmax": (1, 0, 0),
-    "ymin": (0, -1, 0), "ymax": (0, 1, 0),
-    "zmin": (0, 0, -1), "zmax": (0, 0, 1),
-}
-
-
 def mms_single(divisions: int, degree: int, cfg: NewmarkConfig, points: int | None = None) -> tuple[float, int]:
     """One manufactured-solution run on the unit cube with c0 = 1.
 
@@ -235,17 +218,16 @@ def mms_single(divisions: int, degree: int, cfg: NewmarkConfig, points: int | No
     space = build_space(mesh, degree)
     ops = assemble_operators(space, c0=1.0, rho0=1.0)
     load = volume_load(space, manufactured.forcing, 0.5, mass=ops.mass)
-    for tag, n in BOX_NORMALS.items():
-        load += neumann_load(space, tag, manufactured.neumann(n), 0.5, c0=1.0)
+    for side, (axis, sign) in zip(BOX_SIDES, FACE_AXIS):  # each side's outward normal
+        load += neumann_load(space, side, manufactured.neumann([sign * (a == axis) for a in range(3)]), 0.5, c0=1.0)
 
     def loads(k):
         # forcing and Neumann data are sin(pi t) F(x), and load is F's: built at t = 1/2, where sin = 1 exactly
         return np.sin(np.pi * k * cfg.dt) * load
 
-    rho0 = np.zeros(space.ndof)
     # the manufactured solution starts at u=0 but with nonzero velocity
-    v0 = interpolate(space, lambda x, y, z: np.pi * manufactured.spatial(x, y, z)).coeffs
-    result = run(space, ops, loads, cfg, initial=(rho0, v0))
+    v0 = interpolate(space, lambda x, y, z: manufactured.exact_velocity(x, y, z, 0.0)).coeffs
+    result = run(space, ops, loads, cfg, initial=(np.zeros(space.ndof), v0))
     t_final = result.times[-1]
     err = l2_error(
         space,
@@ -273,7 +255,7 @@ def run_mms(cfg: dict, out_dir: Path) -> Path:
             order = np.nan if prev_err is None else float(np.log2(prev_err / err))
             rows.append([r, 1.0 / n, ndof, err, f"{order:.6g}", f"{elapsed:.3f}"])
             prev_err = err
-    return _write_csv(out_dir / "mms_report.csv", ["degree", "h", "ndof", "E2", "observed_order", "runtime_s"], rows)
+    return write_csv(out_dir / "mms_report.csv", ["degree", "h", "ndof", "E2", "observed_order", "runtime_s"], rows)
 
 
 # -- solve ----------------------------------------------------------------
@@ -517,11 +499,11 @@ def run_curle(cfg: dict, out_dir: Path):
     outputs = []
     for name, pos in cfg["observers"].items():
         # multiple (force, body point) pairs: contributions sum linearly
-        pressures = [curle_pressure(hist, pos, cfg["c0"]).pressure for hist in histories]
+        pressures = [curle_pressure(hist, pos, cfg["c0"]) for hist in histories]
         total = sum(pressures[1:], pressures[0])
-        outputs.append(_write_csv(out_dir / f"curle_{name}.csv", ["time", "pressure"], zip(times, total)))
+        outputs.append(write_csv(out_dir / f"curle_{name}.csv", ["time", "pressure"], zip(times, total)))
         freq, pxx = psd(total, float(times[1] - times[0]), seg)
-        outputs.append(_write_csv(out_dir / f"curle_{name}_psd.csv", ["frequency", "psd"], zip(freq, pxx)))
+        outputs.append(write_csv(out_dir / f"curle_{name}_psd.csv", ["frequency", "psd"], zip(freq, pxx)))
     return outputs
 
 
@@ -557,7 +539,7 @@ def main(argv=None) -> int:
                 b = [float(v) for v in args.box.split(",")]
                 div = [int(v) for v in args.div.split(",")]
                 mesh = generate_box_mesh([b[0:2], b[2:4], b[4:6]], div, _parse_tags(args.tag))
-            except ValueError as exc:
+            except (ValueError, MeshError) as exc:
                 raise ConfigError([f"mesh-gen: {exc}"]) from exc
             out = Path(args.out)
             out.parent.mkdir(parents=True, exist_ok=True)

@@ -45,24 +45,16 @@ class ForceHistory:
         return float(self.times[1] - self.times[0])
 
 
-@dataclass
-class ObserverRecord:
-    observer: np.ndarray
-    times: np.ndarray
-    pressure: np.ndarray  # Pa
-
-
-def curle_pressure(force: ForceHistory, observer, c0: float) -> ObserverRecord:
-    """p(x,t) = (1/4pi) (r/r^2) . (F/r + F'/c0), with F' by second-order
-    finite differences (central inside, one-sided at the ends)."""
-    observer = np.asarray(observer, dtype=float)
-    rvec = observer - force.body_point
+def curle_pressure(force: ForceHistory, observer, c0: float) -> np.ndarray:
+    """p(x,t) in Pa at the times of force: (1/4pi) (r/r^2) . (F/r + F'/c0),
+    with F' by second-order finite differences (central inside, one-sided at
+    the ends)."""
+    rvec = np.asarray(observer, dtype=float) - force.body_point
     r = float(np.linalg.norm(rvec))
     if r <= 0:
         raise CurleError("observer coincides with the body reference point")
     fdot = np.gradient(force.forces, force.dt, axis=0, edge_order=2)
-    p = (force.forces / r + fdot / c0) @ rvec / (4.0 * np.pi * r**2)
-    return ObserverRecord(observer, force.times.copy(), p)
+    return (force.forces / r + fdot / c0) @ rvec / (4.0 * np.pi * r**2)
 
 
 def psd(series, dt: float, segment_length: int):

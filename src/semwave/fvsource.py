@@ -19,11 +19,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
+
+from .entries import floats, indices
 
 FV_FORMAT_VERSION = "1"
 
@@ -271,42 +272,9 @@ def save_fv(path, mesh: FvMesh, fields: list[FvField] | None = None):
                  % (json.dumps(FV_FORMAT_VERSION), cells, faces, ", ".join(values)))
 
 
-def _floats(rows: list, width: int, what) -> np.ndarray:
-    """rows as floats, shape (n,) when width is 0, else (n, width): each row a
-    number, or a list of width numbers.  The first row that is not is an
-    FvError naming what(i)."""
-    n = len(rows)
-    try:
-        if not width:
-            return np.fromiter(rows, float, n)
-        if all(type(row) is list and len(row) == width for row in rows):
-            return np.fromiter(chain.from_iterable(rows), float, n * width).reshape(n, width)
-    except (TypeError, ValueError, OverflowError):  # an object, a string, a nested list or a huge integer
-        pass
-    shape = (width,) if width else ()
-    for i, row in enumerate(rows):
-        try:
-            ok = np.asarray(row, dtype=float).shape == shape
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
-            raise FvError(f"FV file {what(i)} must be {f'{width} numbers' if width else 'a number'}, got {row!r}")
-    raise FvError(f"FV file {what('*')} must be {f'{width} numbers' if width else 'a number'}")
-
-
-def _column(entries: list, kind: str, key: str, width: int = 0) -> np.ndarray:
-    """Column key of the file's kind ("cells" or "faces") entries as floats."""
-    return _floats(list(map(itemgetter(key), entries)), width, lambda i: f"{kind}[{i}] {key}")
-
-
-def _indices(faces: list, key: str) -> np.ndarray:
-    """Face column key as integers; a value that is not a whole number in the
-    int64 range is an FvError."""
-    v = _column(faces, "faces", key)
-    bad = np.flatnonzero(~(np.abs(v) < 2.0**62) | (v != np.trunc(v)))  # NaN fails the first test
-    if bad.size:
-        raise FvError(f"FV file faces[{bad[0]}] {key} must be an integer index, got {faces[bad[0]][key]!r}")
-    return v.astype(int)
+def _column(entries: list, kind: str, key: str, width: int = 0, read=floats) -> np.ndarray:
+    """Column key of the file's kind ("cells" or "faces") entries, read as floats or as indices."""
+    return read(list(map(itemgetter(key), entries)), width, lambda i: f"FV file {kind}[{i}] {key}", FvError)
 
 
 def _field(mesh: FvMesh, j: int, entry: dict) -> FvField:
@@ -316,7 +284,7 @@ def _field(mesh: FvMesh, j: int, entry: dict) -> FvField:
         got = f"{len(values)} entries" if isinstance(values, list) else repr(values)
         raise FvError(f"FV file fields[{j}] values must list one value per cell ({mesh.num_cells}), got {got}")
     width = 3 if values and type(values[0]) is list else 0
-    values = _floats(values, width, lambda i: f"fields[{j}] values[{i}]")
+    values = floats(values, width, lambda i: f"FV file fields[{j}] values[{i}]", FvError)
     try:
         time = float(entry.get("time", 0.0))
     except (TypeError, ValueError):
@@ -350,7 +318,8 @@ def load_fv(path) -> tuple[FvMesh, list[FvField]]:
     try:
         mesh = FvMesh(
             _column(cells, "cells", "center", 3), _column(cells, "cells", "volume"),
-            _indices(faces, "owner"), _indices(faces, "neighbor"), _column(faces, "faces", "area"),
+            _column(faces, "faces", "owner", read=indices),
+            _column(faces, "faces", "neighbor", read=indices), _column(faces, "faces", "area"),
             _column(faces, "faces", "normal", 3), _column(faces, "faces", "midpoint", 3),
         )
         fields = [_field(mesh, j, f) for j, f in enumerate(data.get("fields", []))]

@@ -6,7 +6,7 @@ Conventions (fixed for file interop):
   (xi, eta, zeta) = (2i-1, 2j-1, 2k-1), i.e. x varies fastest.
 * Local faces 0..5 are xi=-1, xi=+1, eta=-1, eta=+1, zeta=-1, zeta=+1.
 * The mesh file is JSON with a mandatory ``"version": "1"`` field and
-  ``vertices``, ``elements``, ``boundary`` arrays.
+  ``vertices`` ([x, y, z]), ``elements`` (8 indices), ``boundary`` ([element, face, tag]) arrays.
 
 The trilinear map is known to this module alone; other modules reach it
 through ``map_points`` (x), ``map_jacobians`` (J = dx/dref) and
@@ -26,9 +26,12 @@ clipped FV coupling.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .entries import floats, indices
 
 MESH_FORMAT_VERSION = "1"
 BOX_TESTS = 1 << 16  # query-element bounding-box tests per batch of bbox_pairs
@@ -54,6 +57,8 @@ FACE_CORNERS = np.array(
 # (fixed axis, sign) of each local face, plus the two in-face reference axes
 FACE_AXIS = [(0, -1), (0, +1), (1, -1), (1, +1), (2, -1), (2, +1)]
 FACE_TANGENTS = [(1, 2), (1, 2), (0, 2), (0, 2), (0, 1), (0, 1)]
+# the side of a box that each local face lies on: xmin, xmax, ymin, ymax, zmin, zmax
+BOX_SIDES = tuple("xyz"[axis] + ("min" if sign < 0 else "max") for axis, sign in FACE_AXIS)
 
 
 class MeshError(Exception):
@@ -139,8 +144,6 @@ class HexMesh:
     vertices: np.ndarray  # (nv, 3)
     elements: np.ndarray  # (ne, 8) int
     boundary: list[tuple[int, int, str]]
-    _bboxes: np.ndarray = field(default=None, repr=False)
-    _h: float = field(default=None, repr=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
@@ -151,14 +154,12 @@ class HexMesh:
     def num_elements(self) -> int:
         return self.elements.shape[0]
 
-    @property
+    @cached_property
     def h(self) -> float:
-        """Characteristic size: the largest element diameter, computed once."""
-        if self._h is None:
-            i, j = np.triu_indices(8, 1)
-            d = self.vertices[self.elements[:, i]] - self.vertices[self.elements[:, j]]  # (ne, 28, 3)
-            self._h = float(np.sqrt((d**2).sum(-1).max(initial=0.0)))
-        return self._h
+        """Characteristic size: the largest element diameter."""
+        i, j = np.triu_indices(8, 1)
+        d = self.vertices[self.elements[:, i]] - self.vertices[self.elements[:, j]]  # (ne, 28, 3)
+        return float(np.sqrt((d**2).sum(-1).max(initial=0.0)))
 
     def corner_coords(self, e=None) -> np.ndarray:
         if e is None:
@@ -177,6 +178,9 @@ class HexMesh:
         return np.array(elem, dtype=int), np.array(face, dtype=int), np.array(tag)
 
     def validate(self):
+        bad = np.argwhere(~np.isfinite(self.vertices))
+        if bad.size:  # NaN passes the Jacobian test below
+            raise MeshError(f"vertex {bad[0][0]} is not finite: {self.vertices[bad[0][0]].tolist()}")
         ne = self.num_elements
         if self.elements.min(initial=0) < 0 or self.elements.max(initial=-1) >= len(self.vertices):
             raise MeshError("element vertex index out of range")
@@ -220,11 +224,11 @@ class HexMesh:
 
     # -- geometry ---------------------------------------------------------
 
+    @cached_property
     def element_bboxes(self) -> np.ndarray:
-        if self._bboxes is None:
-            corners = self.corner_coords()
-            self._bboxes = np.stack([corners.min(axis=1), corners.max(axis=1)])
-        return self._bboxes
+        """(lo, hi) corners of every element's bounding box, shape (2, ne, 3)."""
+        corners = self.corner_coords()
+        return np.stack([corners.min(axis=1), corners.max(axis=1)])
 
     def aligned_boxes(self, x: np.ndarray | None = None) -> bool:
         """Whether every element is an axis-aligned box in reference
@@ -246,7 +250,7 @@ class HexMesh:
         """(query, element) index pairs, by query then element, of the query boxes
         [lo, hi] (n, 3) that meet the element bounding boxes grown by pad on every
         side (shrunk if pad < 0), in batches of about BOX_TESTS tests."""
-        elo, ehi = (self.element_bboxes() + np.array([-pad, pad])[:, None, None]).transpose(0, 2, 1)  # (3, ne)
+        elo, ehi = (self.element_bboxes + np.array([-pad, pad])[:, None, None]).transpose(0, 2, 1)  # (3, ne)
         chunk = max(1, BOX_TESTS // max(1, self.num_elements))
         pairs = [np.empty((0, 2), dtype=int)]
         for s in range(0, len(lo), chunk):
@@ -312,23 +316,21 @@ class HexMesh:
         for key in ("vertices", "elements", "boundary"):
             if key not in data:
                 raise MeshError(f"mesh file missing {key!r}")
-        boundary = [(int(e), int(f), str(t)) for e, f, t in data["boundary"]]
-        return cls(np.array(data["vertices"], dtype=float), np.array(data["elements"], dtype=int), boundary)
+            if not isinstance(data[key], list):
+                raise MeshError(f"mesh file {key!r} is not an array, got {type(data[key]).__name__}")
+        rows = data["boundary"]
+        bad = [i for i, row in enumerate(rows) if not (type(row) is list and len(row) == 3 and type(row[2]) is str)]
+        if bad:
+            raise MeshError(f"mesh file boundary[{bad[0]}] must be [element, face, tag string], got {rows[bad[0]]!r}")
+        vertices = floats(data["vertices"], 3, lambda i: f"mesh file vertices[{i}]", MeshError)
+        elements = indices(data["elements"], 8, lambda i: f"mesh file elements[{i}]", MeshError)
+        faces = indices([row[:2] for row in rows], 2, lambda i: f"mesh file boundary[{i}] element and face", MeshError)
+        return cls(vertices, elements, [(e, f, row[2]) for (e, f), row in zip(faces.tolist(), rows)])
 
     @classmethod
     def load(cls, path) -> "HexMesh":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-DEFAULT_BOX_TAGS = {
-    "xmin": "xmin",
-    "xmax": "xmax",
-    "ymin": "ymin",
-    "ymax": "ymax",
-    "zmin": "zmin",
-    "zmax": "zmax",
-}
 
 
 def generate_box_mesh(bounds, divisions, tags: dict[str, str] | None = None) -> HexMesh:
@@ -343,14 +345,12 @@ def generate_box_mesh(bounds, divisions, tags: dict[str, str] | None = None) -> 
         raise ValueError("divisions must be >= 1")
     if np.any(bounds[:, 1] <= bounds[:, 0]):
         raise ValueError("box extents must be positive")
-    if set(tags or {}) - set(DEFAULT_BOX_TAGS):
-        raise ValueError(f"unknown box sides {sorted(set(tags) - set(DEFAULT_BOX_TAGS))} in tags")
-    t = dict(DEFAULT_BOX_TAGS)
-    t.update(tags or {})
+    if set(tags or {}) - set(BOX_SIDES):
+        raise ValueError(f"unknown box sides {sorted(set(tags) - set(BOX_SIDES))} in tags")
+    names = [(tags or {}).get(side, side) for side in BOX_SIDES]  # the tag of each local face
 
-    xs = np.linspace(bounds[0, 0], bounds[0, 1], nx + 1)
-    ys = np.linspace(bounds[1, 0], bounds[1, 1], ny + 1)
-    zs = np.linspace(bounds[2, 0], bounds[2, 1], nz + 1)
+    with np.errstate(invalid="ignore"):  # a non-finite bound makes non-finite vertices, which HexMesh names
+        xs, ys, zs = (np.linspace(lo, hi, n + 1) for (lo, hi), n in zip(bounds, (nx, ny, nz)))
     xg, yg, zg = np.meshgrid(xs, ys, zs, indexing="ij")
     vertices = np.stack([xg.ravel(), yg.ravel(), zg.ravel()], axis=1)
 
@@ -365,7 +365,6 @@ def generate_box_mesh(bounds, divisions, tags: dict[str, str] | None = None) -> 
     boundary = []
     for axis, side in enumerate((eid[[0, -1]], eid[:, [0, -1]], eid[:, :, [0, -1]])):
         pairs = np.moveaxis(side, axis, -1).ravel().tolist()
-        names = (t["xyz"[axis] + "min"], t["xyz"[axis] + "max"])
-        boundary += [(e, 2 * axis + n % 2, names[n % 2]) for n, e in enumerate(pairs)]
+        boundary += [(e, 2 * axis + n % 2, names[2 * axis + n % 2]) for n, e in enumerate(pairs)]
 
     return HexMesh(vertices, elements, boundary)

@@ -204,9 +204,15 @@ def run(
     return RunResult(times, names, values, state, snapshots)
 
 
-def write_probe_csv(result: RunResult, path):
+def write_csv(path: Path, header, rows) -> Path:
+    """header, then rows, with each float written to 12 significant digits."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["time"] + result.probe_names)
-        for k, t in enumerate(result.times):
-            w.writerow([f"{t:.12g}"] + [f"{v:.12g}" for v in result.probe_values[k]])
+        w.writerow(header)
+        w.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
+    return path
+
+
+def write_probe_csv(result: RunResult, path):
+    """One row per step: the time, then each probe's value."""
+    write_csv(path, ["time"] + result.probe_names, np.column_stack([result.times, result.probe_values]).tolist())

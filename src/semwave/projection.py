@@ -58,8 +58,8 @@ class CouplingMatrix:
 def consistent_mass(space: SpectralSpace) -> sp.csr_matrix:
     """Full mass matrix with Gauss-Legendre quadrature (r+1 points per axis,
     exact for the degree-2r integrand), unlike the collocated diagonal M."""
-    basis, wdet, _ = _gauss_rule(space, space.degree + 1)  # basis (nloc, nloc)
-    local = np.einsum("eq,qi,qj->eij", wdet, basis, basis)
+    basis, wdet, _ = _gauss_rule(space, space.degree + 1)  # basis (nq, nloc), wdet (ne, nq)
+    local = (basis.T * wdet[:, None]) @ basis  # one batched matmul: (ne, nloc, nq) @ (nq, nloc)
     rows = np.repeat(space.emap, space.nloc, axis=1).ravel()
     cols = np.tile(space.emap, (1, space.nloc)).ravel()
     m = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.ndof, space.ndof))
@@ -122,7 +122,7 @@ def _clipped_entries(space: SpectralSpace, clo, chi, cells):
     basis, so each pair needs only p one-dimensional integrals per axis."""
     gx, gw = np.polynomial.legendre.leggauss(space.degree // 2 + 1)
     k, e = space.mesh.bbox_pairs(clo[cells], chi[cells], -1e-12 * space.mesh.h)
-    elo, ehi = space.mesh.element_bboxes()
+    elo, ehi = space.mesh.element_bboxes
     c = cells[k]
     lo = np.maximum(elo[e], clo[c])
     hi = np.minimum(ehi[e], chi[c])

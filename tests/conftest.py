@@ -102,7 +102,7 @@ def _locate_by_loop(mesh, x):
     candidate of x (boxes padded by 1e-9 h), in index order, whose inverse map
     lands in [-1, 1]^3 to 1e-10; (element, clipped xi), or None outside."""
     pad = 1e-9 * mesh.h
-    lo, hi = mesh.element_bboxes()
+    lo, hi = mesh.element_bboxes
     for e in np.nonzero(np.all((x >= lo - pad) & (x <= hi + pad), axis=1))[0]:
         ref = _invert_map(mesh, int(e), x)
         if ref is not None and np.all(np.abs(ref) <= 1.0 + 1e-10):

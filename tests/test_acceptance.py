@@ -366,15 +366,15 @@ def test_criterion_09_curle_analytics(capsys):
     exponent -1 +/- 0.05 over one decade of r (measured -1.00)."""
     t0 = time.perf_counter()
     hist = ForceHistory(np.arange(10) * 0.01, np.tile([0.0, 0.0, 1.0], (10, 1)))
-    rec = curle_pressure(hist, np.array([0.0, 0.0, 1.0]), c0=343.0)
-    const_ok = np.max(np.abs(rec.pressure - 1.0 / (4.0 * np.pi))) <= 1e-12
+    p = curle_pressure(hist, np.array([0.0, 0.0, 1.0]), c0=343.0)
+    const_ok = np.max(np.abs(p - 1.0 / (4.0 * np.pi))) <= 1e-12
 
-    on_axis = curle_pressure(hist, np.array([0.0, 0.0, 2.0]), c0=343.0).pressure
+    on_axis = curle_pressure(hist, np.array([0.0, 0.0, 2.0]), c0=343.0)
     dir_ok = True
     for theta in np.linspace(0.0, np.pi, 8):
         obs = 2.0 * np.array([np.sin(theta), 0.0, np.cos(theta)])
-        rec = curle_pressure(hist, obs, c0=343.0)
-        dir_ok = dir_ok and np.max(np.abs(rec.pressure - np.cos(theta) * on_axis)) <= 1e-12
+        p = curle_pressure(hist, obs, c0=343.0)
+        dir_ok = dir_ok and np.max(np.abs(p - np.cos(theta) * on_axis)) <= 1e-12
 
     # harmonic force: steady-state amplitude vs axial distance
     w = 2.0 * np.pi * 100.0
@@ -384,8 +384,8 @@ def test_criterion_09_curle_analytics(capsys):
     radii = np.logspace(1.0, 2.0, 8)
     amps = []
     for rr in radii:
-        rec = curle_pressure(harm, np.array([0.0, 0.0, rr]), c0=343.0)
-        amps.append(np.max(np.abs(rec.pressure[2000:-2000])))
+        p = curle_pressure(harm, np.array([0.0, 0.0, rr]), c0=343.0)
+        amps.append(np.max(np.abs(p[2000:-2000])))
     slope = np.polyfit(np.log(radii), np.log(amps), 1)[0]
     decay_ok = abs(slope - (-1.0)) <= 0.05
 

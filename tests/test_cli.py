@@ -8,7 +8,7 @@ import pytest
 
 from semwave import cli
 from semwave.fvsource import generate_box_fv, load_fv, save_fv
-from semwave.mesh import HexMesh, generate_box_mesh
+from semwave.mesh import BOX_SIDES, FACE_AXIS, HexMesh, generate_box_mesh
 from semwave.newmark import NewmarkConfig
 
 
@@ -385,8 +385,8 @@ def test_mms_load_is_scaled_once_built_load(monkeypatch):
     for k in (1, 2, 3, 17, 38):
         t = k * cfg.dt
         rebuilt = assembly.volume_load(space, manufactured.forcing, t, mass=ops.mass)
-        for tag, n in cli.BOX_NORMALS.items():
-            rebuilt += assembly.neumann_load(space, tag, manufactured.neumann(n), t, c0=1.0)
+        for side, (axis, sign) in zip(BOX_SIDES, FACE_AXIS):
+            rebuilt += assembly.neumann_load(space, side, manufactured.neumann(sign * np.eye(3)[axis]), t, c0=1.0)
         np.testing.assert_allclose(loads(k), rebuilt, rtol=0, atol=1e-14 * np.abs(rebuilt).max())
     assert np.all(loads(0) == 0.0)
 
@@ -806,6 +806,56 @@ def test_mesh_gen_unknown_tag_side_is_config_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert code == 2 and len(err["problems"]) == 1 and "foo" in err["problems"][0]
     assert not (tmp_path / "mesh.json").exists()
+
+
+@pytest.mark.parametrize("bound", ["nan", "inf"])
+def test_mesh_gen_non_finite_box_is_config_error(tmp_path, capsys, bound):
+    """A non-finite --box bound makes a non-finite vertex: one exit-2 problem
+    naming it, no RuntimeWarning (an error under the test settings) and no
+    mesh file."""
+    code = cli.main(["mesh-gen", "--box", f"0,1,0,1,0,{bound}", "--div", "1,1,1", "--out", str(tmp_path / "m.json")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and err["problems"] == ["mesh-gen: vertex 0 is not finite: [0.0, 0.0, nan]"]
+    assert not (tmp_path / "m.json").exists()
+
+
+def _nan_vertex(data):
+    data["vertices"][3][1] = float("nan")  # json writes and reads it as NaN
+
+
+def _fractional_element(data):
+    data["elements"][1][7] += 0.4  # read as an int, it would be the right corner
+
+
+def _fractional_boundary_element(data):
+    data["boundary"][0][0] = 0.9  # read as an int, it would be element 0
+
+
+def _numeric_tag(data):
+    data["boundary"][2][2] = 5
+
+
+def _short_vertex(data):
+    data["vertices"][0] = data["vertices"][0][:2]
+
+
+@pytest.mark.parametrize("change, problem", [
+    (_nan_vertex, "vertex 3 is not finite: [0.0, nan, 1.0]"),
+    (_fractional_element, "mesh file elements[1] must be 8 integer indices, got [4, 8, 6, 10, 5, 9, 7, 11.4]"),
+    (_fractional_boundary_element, "mesh file boundary[0] element and face must be 2 integer indices, got [0.9, 0]"),
+    (_numeric_tag, "mesh file boundary[2] must be [element, face, tag string], got [0, 2, 5]"),
+    (_short_vertex, "mesh file vertices[0] must be 3 numbers, got [0.0, 0.0]"),
+], ids=["nan-vertex", "fractional-element", "fractional-boundary-element", "numeric-tag", "vertex-2-long"])
+def test_bad_mesh_file_entry_is_config_error(tmp_path, capsys, change, problem):
+    """solve on a mesh file with a bad entry exits 2 with one problem naming
+    it, before any field is interpolated."""
+    data = generate_box_mesh([(0, 2), (0, 1), (0, 1)], (2, 1, 1)).to_dict()
+    change(data)
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(data))
+    cfg = {**_SOLVE_1X1, "mesh": {"file": str(path)},
+           "initial": {"type": "gaussian_plane", "axis": 0, "center": 1.0, "sigma": 0.3}}
+    assert _stage_problems(tmp_path, capsys, "solve", cfg) == [f"mesh: file {path}: {problem}"]
 
 
 @pytest.mark.parametrize("text", [None, "{", "[1, 2"])

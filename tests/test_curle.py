@@ -38,13 +38,13 @@ def _constant_force(n=10, dt=0.01, f=(0.0, 0.0, 1.0)):
 
 
 def test_constant_axial_force():
-    rec = curle_pressure(_constant_force(), np.array([0.0, 0.0, 1.0]), c0=343.0)
-    np.testing.assert_allclose(rec.pressure, 1.0 / (4.0 * np.pi), atol=1e-12)
+    p = curle_pressure(_constant_force(), np.array([0.0, 0.0, 1.0]), c0=343.0)
+    np.testing.assert_allclose(p, 1.0 / (4.0 * np.pi), atol=1e-12)
 
 
 def test_dipole_null_plane():
-    rec = curle_pressure(_constant_force(), np.array([1.0, 0.0, 0.0]), c0=343.0)
-    np.testing.assert_allclose(rec.pressure, 0.0, atol=1e-14)
+    p = curle_pressure(_constant_force(), np.array([1.0, 0.0, 0.0]), c0=343.0)
+    np.testing.assert_allclose(p, 0.0, atol=1e-14)
 
 
 def test_cosine_directivity():
@@ -53,8 +53,8 @@ def test_cosine_directivity():
         obs = 2.0 * np.array([np.sin(theta), 0.0, np.cos(theta)])
         if np.linalg.norm(obs) == 0:
             continue
-        rec = curle_pressure(_constant_force(), obs, c0=343.0)
-        np.testing.assert_allclose(rec.pressure, np.cos(theta) * on_axis.pressure, atol=1e-12)
+        p = curle_pressure(_constant_force(), obs, c0=343.0)
+        np.testing.assert_allclose(p, np.cos(theta) * on_axis, atol=1e-12)
 
 
 def test_harmonic_amplitude():
@@ -65,8 +65,8 @@ def test_harmonic_amplitude():
     dt = 1e-5
     times = np.arange(20000) * dt
     forces = np.stack([0 * times, 0 * times, np.sin(w * times)], axis=1)
-    rec = curle_pressure(ForceHistory(times, forces), np.array([0.0, 0.0, big_r]), c0)
-    amp = np.max(np.abs(rec.pressure[1000:-1000]))
+    p = curle_pressure(ForceHistory(times, forces), np.array([0.0, 0.0, big_r]), c0)
+    amp = np.max(np.abs(p[1000:-1000]))
     expected = np.sqrt(1.0 / big_r**2 + (w / c0) ** 2) / (4.0 * np.pi * big_r)
     assert abs(amp - expected) < 0.01 * expected
 
@@ -91,8 +91,8 @@ def test_history_validation():
 
 def test_body_point_offsets_distance():
     hist = ForceHistory(np.arange(5) * 0.1, np.tile([0.0, 0.0, 1.0], (5, 1)), body_point=np.array([0.0, 0.0, 1.0]))
-    rec = curle_pressure(hist, np.array([0.0, 0.0, 2.0]), c0=343.0)
-    np.testing.assert_allclose(rec.pressure, 1.0 / (4.0 * np.pi), atol=1e-12)
+    p = curle_pressure(hist, np.array([0.0, 0.0, 2.0]), c0=343.0)
+    np.testing.assert_allclose(p, 1.0 / (4.0 * np.pi), atol=1e-12)
 
 
 # -- surface force --------------------------------------------------------

@@ -285,6 +285,16 @@ def test_h_is_largest_diameter():
     assert abs(mesh.h - np.sqrt(3.0)) < 1e-12
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_vertex_rejected(value):
+    """A NaN vertex passes every Jacobian test, so it is named before them."""
+    mesh = generate_box_mesh(UNIT_BOX, (2, 1, 1))
+    verts = mesh.vertices.copy()
+    verts[5, 1] = value
+    with pytest.raises(MeshError, match=r"vertex 5 is not finite: \[0\.5, "):
+        HexMesh(verts, mesh.elements, mesh.boundary)
+
+
 def test_inverted_element_rejected():
     mesh = generate_box_mesh(UNIT_BOX, (1, 1, 1))
     elements = mesh.elements.copy()

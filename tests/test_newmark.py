@@ -1,5 +1,6 @@
 """Newmark integrator, PCG solver, discrete energy and the run loop."""
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from semwave.newmark import (
     newmark_step,
     pcg,
     run,
+    write_csv,
     write_probe_csv,
 )
 
@@ -227,6 +229,51 @@ def test_probe_csv_roundtrip(tmp_path):
     write_probe_csv(result, path)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     np.testing.assert_allclose(data, [[0.0, 1.0, 2.0], [0.1, 3.0, 4.0]])
+
+
+def _write_probe_csv_oracle(result, path):
+    """The probe writer before it shared write_csv, kept as a byte oracle."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["time"] + result.probe_names)
+        for k, t in enumerate(result.times):
+            w.writerow([f"{t:.12g}"] + [f"{v:.12g}" for v in result.probe_values[k]])
+
+
+def _write_table_oracle(path, header, rows):
+    """The table writer of the mms and curle drivers before it moved beside
+    write_probe_csv, kept as a byte oracle."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, 1e-300, -2.5e-17, 1 / 3, 123456789012345.6, -1e300, 1.7976931348623157e308]
+
+
+def test_probe_csv_bytes_match_oracle(tmp_path):
+    """write_probe_csv writes the bytes of the row-by-row writer on signed
+    zeros, subnormal, tiny and huge values and names that need quoting."""
+    v = np.array(EDGE_VALUES)
+    result = RunResult(times=-v[::-1], probe_names=["a", "b,c", 'say "p"'],
+                       probe_values=np.column_stack([v, -v, 1e-3 * v[::-1]]), final=None)
+    write_probe_csv(result, tmp_path / "new.csv")
+    _write_probe_csv_oracle(result, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_table_csv_bytes_match_oracle(tmp_path):
+    """write_csv writes the oracle's bytes on mixed int, str and float rows
+    (an mms_report.csv layout) and on numpy floats (the curle tables)."""
+    header = ["degree", "h", "ndof", "E2", "observed_order", "runtime_s"]
+    rows = [[1, 1.0, 8, 0.0, "nan", "0.007"], [2, 0.5, 125, 4.05361086339e-4, "1.65483", "0.006"],
+            [3, -0.0, 0, np.float64(5e-324), np.nan, np.inf],
+            *([i, v, -v, True, "x,y", None] for i, v in enumerate(EDGE_VALUES)),
+            *zip(np.array(EDGE_VALUES), -np.array(EDGE_VALUES))]
+    assert write_csv(tmp_path / "new.csv", header, rows) == tmp_path / "new.csv"
+    _write_table_oracle(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_run_probes_match_evaluate(perturbed_mesh):

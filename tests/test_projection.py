@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from semwave.projection import (
     build_projection,
     consistent_mass,
 )
+from semwave.space import _gauss_rule
 
 UNIT_BOX = [(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
 
@@ -30,6 +32,26 @@ def test_consistent_mass_single_trilinear_element(unit_space_r1):
     expected = np.einsum("ad,be,cf->cbafed", m1, m1, m1).reshape(8, 8)
     # global numbering for one element follows local ordering
     np.testing.assert_allclose(m, expected, atol=1e-14)
+
+
+def _consistent_mass_oracle(space):
+    """consistent_mass with its local blocks by einsum, as first written, kept as an oracle."""
+    basis, wdet, _ = _gauss_rule(space, space.degree + 1)
+    local = np.einsum("eq,qi,qj->eij", wdet, basis, basis)
+    rows = np.repeat(space.emap, space.nloc, axis=1).ravel()
+    cols = np.tile(space.emap, (1, space.nloc)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.ndof, space.ndof)).tocsr()
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("mesh", ["graded_mesh", "perturbed_mesh"])
+def test_consistent_mass_matches_einsum_oracle(request, mesh, degree):
+    """The batched-matmul build equals the einsum build to 1e-14 relative, with
+    the same sparsity, on axis-aligned boxes and on warped hexes."""
+    space = build_space(request.getfixturevalue(mesh), degree)
+    m, ref = consistent_mass(space), _consistent_mass_oracle(space)
+    assert np.array_equal(m.indptr, ref.indptr) and np.array_equal(m.indices, ref.indices)
+    assert np.abs(m.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
 
 
 def test_consistent_mass_row_sums(cube2_space_r2):
